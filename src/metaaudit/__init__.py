@@ -49,7 +49,15 @@ from .searchspace import (
     compute_space,
     summarize_spaces,
 )
-from .simulate import REGIMES, ShapeStats, SimConfig, shape_check, simulate_pvalues
+from .simulate import (
+    REGIMES,
+    ShapeStats,
+    SimConfig,
+    draw_pvalues,
+    shape_check,
+    shape_stats,
+    simulate_pvalues,
+)
 from .statcore import (
     BackCalcResult,
     BonferroniLine,
@@ -101,6 +109,7 @@ __all__ = [
     "case_pvalues_path",
     "compute_space",
     "descriptives",
+    "draw_pvalues",
     "fwer",
     "i2",
     "load_case_dataset",
@@ -120,6 +129,7 @@ __all__ = [
     "save_effects",
     "save_pvalues",
     "shape_check",
+    "shape_stats",
     "simulate_pvalues",
     "summarize_spaces",
     "uniformity_ks",

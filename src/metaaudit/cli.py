@@ -298,8 +298,12 @@ _CONFIG_KEYS = ("regime", "m", "delta", "s_tests", "pi", "seed", "replicates", "
 
 
 def _read_config(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -353,7 +357,7 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
         regime=regime,
         m=m,
         seed=seed,
-        delta=pick(args.delta, "delta", _config_float, 0.0),
+        delta=pick(args.delta, "delta", _config_float, None),
         s_tests=pick(args.s_tests, "s_tests", _config_int, 1),
         pi_mix=pick(args.pi, "pi", _config_float, 0.0),
         replicates=pick(args.replicates, "replicates", _config_int, 1),
@@ -365,17 +369,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _build_sim_config(args)
     out = _out_dir(args, "simulate")
 
-    replicated = simulate.simulate_pvalues(cfg)
-    lines = ["replicate,citation,author,endpoint,p"]
-    for index, records in enumerate(replicated):
-        for record in records:
-            lines.append(
-                f"{index},{record.citation},{record.author},{record.endpoint},{record.p!r}"
-            )
-    _write(out / "pvalues.csv", "\n".join(lines) + "\n")
+    p = simulate.draw_pvalues(cfg)
+    path = out / "pvalues.csv"
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write("replicate,citation,author,endpoint,p\n")
+        for index, row in enumerate(p):
+            handle.write("".join([
+                f"{index},{study},{simulate.RECORD_AUTHOR},{cfg.regime},{value!r}\n"
+                for study, value in enumerate(row.tolist(), start=1)
+            ]))
+    print(f"# wrote {path}")
 
     if cfg.replicates >= 100 and cfg.m >= 6:
-        stats = simulate.shape_check(cfg)
+        stats = simulate.shape_stats(p)
         csv_text = (
             "mean_frac_le_005,mean_ks_d,mean_bilinearity_ratio\n"
             f"{stats.mean_frac_le_005!r},{stats.mean_ks_d!r},{stats.mean_bilinearity_ratio!r}\n"

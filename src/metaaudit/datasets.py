@@ -80,10 +80,13 @@ class Dataset:
 def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """Yield (physical line number, cells) skipping comments and blanks."""
     with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            yield lineno, [cell.strip() for cell in row]
+        try:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not row or row[0].startswith("#"):
+                    continue
+                yield lineno, [cell.strip() for cell in row]
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _header_map(

@@ -205,11 +205,7 @@ def uniformity_ks(series: PValuePlotSeries) -> KsResult:
     m = series.m
     if m < 5:
         raise InsufficientDataError(f"KS uniformity test needs m >= 5, got m={m}")
-    sorted_p = np.array([p for _, p in series.points], dtype=float)
-    i = np.arange(1, m + 1, dtype=float)
-    d_plus = np.max(i / m - sorted_p)
-    d_minus = np.max(sorted_p - (i - 1.0) / m)
-    d_stat = float(max(d_plus, d_minus, 0.0))
+    d_stat = float(_ks_d(np.array([[p for _, p in series.points]]))[0])
     p_ks = float(kolmogorov(math.sqrt(m) * d_stat))
     return KsResult(d_stat=d_stat, p_ks=p_ks)
 
@@ -219,18 +215,44 @@ def uniformity_ks(series: PValuePlotSeries) -> KsResult:
 _SSE_LINEAR_EPS = 1e-13
 
 
-def _segment_sse(pref, i: int, j: int) -> float:
-    """SSE of a least-squares line over the half-open index range [i, j)."""
-    cx, cy, cxx, cyy, cxy = pref
-    n = j - i
-    sx = cx[j] - cx[i]
-    sy = cy[j] - cy[i]
-    sxx = (cxx[j] - cxx[i]) - sx * sx / n
-    syy = (cyy[j] - cyy[i]) - sy * sy / n
-    sxy = (cxy[j] - cxy[i]) - sx * sy / n
-    if sxx <= 0.0:
-        return max(0.0, float(syy))
-    return max(0.0, float(syy - sxy * sxy / sxx))
+def _ks_d(sorted_p: np.ndarray) -> np.ndarray:
+    """KS distance from Uniform(0,1) of each row of a row-sorted 2-D array."""
+    m = sorted_p.shape[1]
+    i = np.arange(1, m + 1, dtype=float)
+    d = np.maximum(np.max(i / m - sorted_p, axis=1), np.max(sorted_p - (i - 1.0) / m, axis=1))
+    return np.maximum(d, 0.0)
+
+
+def _line_sse(k, sx, sy, sxx, syy, sxy) -> np.ndarray:
+    """SSE of least-squares lines through k points with the given sums of x, y, xx, yy, xy."""
+    sxx = sxx - sx * sx / k
+    syy = syy - sy * sy / k
+    sxy = sxy - sx * sy / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = np.where(sxx <= 0.0, syy, syy - sxy * sxy / sxx)
+    return np.where(sse > 0.0, sse, 0.0)  # not np.maximum, which keeps -0.0
+
+
+def _two_segment_fits(sorted_p: np.ndarray):
+    """:func:`bilinearity_fit` of every row of a row-sorted (n, m) array, m >= 6.
+
+    Returns arrays ``(breakpoint_rank, sse_two_segment, sse_one_segment, ratio)``.
+    """
+    n, m = sorted_p.shape
+    x, y = np.arange(1, m + 1, dtype=float), sorted_p
+    # Running sums along each row; those of x are the same for every row.
+    sums = (np.cumsum(x), np.cumsum(y, axis=1), np.cumsum(x * x),
+            np.cumsum(y * y, axis=1), np.cumsum(x * y, axis=1))
+    ranks = np.arange(2, m - 1)  # the left segment's last rank is also its size
+    left = [s[..., ranks - 1] for s in sums]
+    right = [s[..., -1:] - s_left for s, s_left in zip(sums, left)]
+    totals = _line_sse(ranks, *left) + _line_sse(m - ranks, *right)
+    best = np.argmin(totals, axis=1)  # the first minimum: ties go to the smallest rank
+    sse_two = totals[np.arange(n), best]
+    sse_one = _line_sse(m, *(s[..., -1] for s in sums))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sse_one <= _SSE_LINEAR_EPS, 1.0, np.minimum(sse_two / sse_one, 1.0))
+    return ranks[best], sse_two, sse_one, ratio
 
 
 def bilinearity_fit(series: PValuePlotSeries) -> BilinearityFit:
@@ -259,32 +281,12 @@ def bilinearity_fit(series: PValuePlotSeries) -> BilinearityFit:
     m = series.m
     if m < 6:
         raise InsufficientDataError(f"two-segment fit needs m >= 6, got m={m}")
-    x = np.arange(1, m + 1, dtype=float)
-    y = np.array([p for _, p in series.points], dtype=float)
-
-    def cum(values):
-        out = np.zeros(m + 1)
-        np.cumsum(values, out=out[1:])
-        return out
-
-    pref = (cum(x), cum(y), cum(x * x), cum(y * y), cum(x * y))
-    sse_one = _segment_sse(pref, 0, m)
-    best_rank = 2
-    best_sse = math.inf
-    for rank in range(2, m - 1):
-        total = _segment_sse(pref, 0, rank) + _segment_sse(pref, rank, m)
-        if total < best_sse:
-            best_sse = total
-            best_rank = rank
-    if sse_one <= _SSE_LINEAR_EPS:
-        ratio = 1.0
-    else:
-        ratio = min(1.0, best_sse / sse_one)
+    rank, sse_two, sse_one, ratio = _two_segment_fits(np.array([[p for _, p in series.points]]))
     return BilinearityFit(
-        breakpoint_rank=best_rank,
-        sse_two_segment=best_sse,
-        sse_one_segment=sse_one,
-        ratio=ratio,
+        breakpoint_rank=int(rank[0]),
+        sse_two_segment=float(sse_two[0]),
+        sse_one_segment=float(sse_one[0]),
+        ratio=float(ratio[0]),
     )
 
 

@@ -12,8 +12,8 @@ of at least one p <= alpha across S candidates is the familiar
 the upper bound and keeps the arithmetic transparent.
 
 Determinism: every replicate draws from its own substream, derived from
-(seed, replicate index) by NumPy's SeedSequence spawning. Serial and
-parallel execution therefore produce identical output for the same config.
+(seed, replicate index) by NumPy's SeedSequence spawning, so a replicate's
+p-values do not depend on how many replicates are drawn.
 """
 
 from __future__ import annotations
@@ -25,17 +25,23 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr
 
-from .diagnostics import PValueRecord, bilinearity_fit, build_pplot, uniformity_ks
+from .diagnostics import PValueRecord, _ks_d, _two_segment_fits
 from .errors import InsufficientDataError, ValidationError
 from .statcore import P_FLOOR
 
-__all__ = ["REGIMES", "ShapeStats", "SimConfig", "shape_check", "simulate_pvalues"]
+__all__ = [
+    "REGIMES", "ShapeStats", "SimConfig", "draw_pvalues", "shape_check", "shape_stats",
+    "simulate_pvalues",
+]
 
 REGIMES = ("null", "effect", "phack", "mixture")
 
 _MIX_COMPONENTS = ("phack", "effect")
 
 _SEED_MAX = 2**64 - 1
+
+# Author label of simulated records and of the rows of a simulated p-value CSV.
+RECORD_AUTHOR = "sim"
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,9 @@ class SimConfig:
     seed : int
         RNG seed in [0, 2**64).
     delta : float
-        Mean of the test statistic under the effect regime.
+        Mean of the test statistic of effect studies. Required when any are
+        drawn (regime ``"effect"``, or a mixture of effect studies), since
+        0.0 draws the null; 0.0 otherwise.
     s_tests : int
         Candidate tests searched per study under phack; at least 1.
     pi_mix : float
@@ -66,7 +74,7 @@ class SimConfig:
     regime: str
     m: int
     seed: int
-    delta: float = 0.0
+    delta: float | None = None
     s_tests: int = 1
     pi_mix: float = 0.0
     replicates: int = 1
@@ -87,6 +95,13 @@ class SimConfig:
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed <= _SEED_MAX:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.delta is None:
+            draws_effects = self.regime == "effect" or (
+                self.regime == "mixture" and self.mix_component == "effect"
+            )
+            if draws_effects:
+                raise ValidationError(f"regime {self.regime!r} draws effect studies; give delta")
+            object.__setattr__(self, "delta", 0.0)
         if not math.isfinite(float(self.delta)):
             raise ValidationError(f"delta must be finite, got {self.delta!r}")
         if not 0.0 <= float(self.pi_mix) <= 1.0:
@@ -131,11 +146,24 @@ def _replicate_p(cfg: SimConfig, index: int) -> np.ndarray:
     return np.clip(p, P_FLOOR, 1.0)
 
 
+def draw_pvalues(cfg: SimConfig) -> np.ndarray:
+    """Simulated p-values in [P_FLOOR, 1] as a ``(cfg.replicates, cfg.m)`` array.
+
+    Row ``i`` is replicate ``i``, drawn in study order from the stream
+    ``SeedSequence(entropy=cfg.seed, spawn_key=(i,))``.
+    """
+    p = np.empty((cfg.replicates, cfg.m))
+    for index in range(cfg.replicates):
+        p[index] = _replicate_p(cfg, index)
+    return p
+
+
 def simulate_pvalues(cfg: SimConfig) -> list[list[PValueRecord]]:
     """Simulated p-value records, one inner list of length m per replicate.
 
     Records carry the study index as citation and the regime name as
-    endpoint, so they feed straight into the diagnostics functions.
+    endpoint, so they feed straight into the diagnostics functions. The
+    values are the rows of :func:`draw_pvalues`.
 
     Parameters
     ----------
@@ -146,21 +174,13 @@ def simulate_pvalues(cfg: SimConfig) -> list[list[PValueRecord]]:
     list of list of PValueRecord
         ``cfg.replicates`` inner lists, each of length ``cfg.m``.
     """
-    out: list[list[PValueRecord]] = []
-    for index in range(cfg.replicates):
-        p = _replicate_p(cfg, index)
-        out.append(
-            [
-                PValueRecord(
-                    citation=study + 1,
-                    author="sim",
-                    endpoint=cfg.regime,
-                    p=float(p[study]),
-                )
-                for study in range(cfg.m)
-            ]
-        )
-    return out
+    return [
+        [
+            PValueRecord(citation=study, author=RECORD_AUTHOR, endpoint=cfg.regime, p=value)
+            for study, value in enumerate(row.tolist(), start=1)
+        ]
+        for row in draw_pvalues(cfg)
+    ]
 
 
 class ShapeStats(NamedTuple):
@@ -171,40 +191,33 @@ class ShapeStats(NamedTuple):
     mean_bilinearity_ratio: float
 
 
-def shape_check(cfg: SimConfig) -> ShapeStats:
-    """Average the shape diagnostics over many simulated replicates.
+def shape_stats(p: np.ndarray) -> ShapeStats:
+    """Average the shape diagnostics over the rows of a ``(replicates, m)`` array.
 
-    Per replicate: fraction of p <= 0.05, the KS distance from uniformity,
-    and the two-segment/one-line SSE ratio, all via the diagnostics module;
-    the three are then averaged across replicates.
-
-    Parameters
-    ----------
-    cfg : SimConfig
-        Needs ``replicates >= 100`` (anything fewer is too noisy to
-        summarize by a mean) and ``m >= 6`` for the two-segment fit.
-
-    Returns
-    -------
-    ShapeStats
+    Per row (replicate): the fraction of p <= 0.05, the KS distance from
+    uniformity and the two-segment/one-line SSE ratio, equal to what
+    ``build_pplot``, ``uniformity_ks`` and ``bilinearity_fit`` give for the
+    row; the three are then averaged over rows. Needs p in (0, 1], at least
+    100 rows (fewer are too noisy to summarize by a mean) and ``m >= 6`` for
+    the two-segment fit.
     """
-    if cfg.replicates < 100:
-        raise InsufficientDataError(
-            f"shape_check needs at least 100 replicates, got {cfg.replicates}"
-        )
-    if cfg.m < 6:
-        raise InsufficientDataError(f"shape_check needs m >= 6, got m={cfg.m}")
-    fracs = []
-    ks_ds = []
-    ratios = []
-    for records in simulate_pvalues(cfg):
-        series = build_pplot(records, endpoint=cfg.regime, alpha=0.05)
-        fracs.append(series.frac_le_alpha)
-        ks_ds.append(uniformity_ks(series).d_stat)
-        ratios.append(bilinearity_fit(series).ratio)
-    n = float(cfg.replicates)
+    replicates, m = p.shape
+    if replicates < 100:
+        raise InsufficientDataError(f"shape_stats needs at least 100 replicates, got {replicates}")
+    if m < 6:
+        raise InsufficientDataError(f"shape_stats needs m >= 6, got m={m}")
+    if not np.all((p > 0.0) & (p <= 1.0)):
+        raise ValidationError("shape_stats needs p-values in (0, 1]")
+    p = np.sort(p, axis=1)
+    n = float(replicates)
+    # The built-in sum adds in replicate order; np.sum's pairwise order rounds differently.
     return ShapeStats(
-        mean_frac_le_005=sum(fracs) / n,
-        mean_ks_d=sum(ks_ds) / n,
-        mean_bilinearity_ratio=sum(ratios) / n,
+        mean_frac_le_005=sum((np.count_nonzero(p <= 0.05, axis=1) / m).tolist()) / n,
+        mean_ks_d=sum(_ks_d(p).tolist()) / n,
+        mean_bilinearity_ratio=sum(_two_segment_fits(p)[3].tolist()) / n,
     )
+
+
+def shape_check(cfg: SimConfig) -> ShapeStats:
+    """Shape statistics of a fresh simulation, ``shape_stats(draw_pvalues(cfg))``."""
+    return shape_stats(draw_pvalues(cfg))

@@ -82,6 +82,16 @@ def test_missing_input_is_io_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_pplot_non_utf8_input_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"citation,author,endpoint,p,direction_negative\n1,M\xfcller,x,0.5,false\n")
+    code = run(["pplot", "--in", str(bad), "--endpoint", "x"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(bad) in err and "UTF-8" in err
+
+
 # --------------------------------------------------------------- volcano
 
 
@@ -189,6 +199,33 @@ def test_simulate_bad_config_key(tmp_path, capsys):
     code = run(["simulate", "--in", str(cfg)], tmp_path)
     assert code == 2
     assert "wat" in capsys.readouterr().err
+
+
+def test_simulate_non_utf8_config_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(b"regime=null\nm=6\xff\nseed=4\n")
+    code = run(["simulate", "--in", str(cfg)], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(cfg) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--regime", "effect"], ""),
+        ([], "regime=mixture\nmix_component=effect\npi=0.3\n"),
+    ],
+    ids=["effect", "mixture-effect"],
+)
+def test_simulate_effect_studies_need_delta(tmp_path, capsys, flags, config):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(config + "m=10\nseed=4\n")
+    code = run(["simulate", "--in", str(cfg)] + flags, tmp_path)
+    assert code == 2
+    assert "delta" in capsys.readouterr().err
+    assert run(["simulate", "--in", str(cfg), "--delta", "0"] + flags, tmp_path) == 0
 
 
 # ---------------------------------------------------------------- report

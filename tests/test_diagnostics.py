@@ -21,6 +21,7 @@ from metaaudit import (
     case_pvalues_path,
     descriptives,
     load_pvalues,
+    shape_stats,
     uniformity_ks,
 )
 
@@ -197,6 +198,109 @@ def test_bilinearity_ratio_bounds():
 def test_bilinearity_needs_six_points():
     with pytest.raises(InsufficientDataError):
         bilinearity_fit(build_pplot(records_from([0.1, 0.2, 0.3, 0.4, 0.5]), "e"))
+
+
+# Loop references: the scalar, one-breakpoint-at-a-time forms of the batch
+# kernels. Same arithmetic in the same order, so results must be equal, not
+# merely close.
+
+
+def loop_segment_sse(pref, i, j):
+    """SSE of a least-squares line over the half-open index range [i, j)."""
+    cx, cy, cxx, cyy, cxy = pref
+    n = j - i
+    sx = cx[j] - cx[i]
+    sy = cy[j] - cy[i]
+    sxx = (cxx[j] - cxx[i]) - sx * sx / n
+    syy = (cyy[j] - cyy[i]) - sy * sy / n
+    sxy = (cxy[j] - cxy[i]) - sx * sy / n
+    if sxx <= 0.0:
+        return max(0.0, float(syy))
+    return max(0.0, float(syy - sxy * sxy / sxx))
+
+
+def loop_bilinearity_fit(ps):
+    """(breakpoint_rank, sse_two_segment, sse_one_segment, ratio) by a Python loop."""
+    y = np.sort(np.asarray(ps, dtype=float))
+    m = len(y)
+    x = np.arange(1, m + 1, dtype=float)
+
+    def cum(values):
+        out = np.zeros(m + 1)
+        np.cumsum(values, out=out[1:])
+        return out
+
+    pref = (cum(x), cum(y), cum(x * x), cum(y * y), cum(x * y))
+    sse_one = loop_segment_sse(pref, 0, m)
+    best_rank = 2
+    best_sse = math.inf
+    for rank in range(2, m - 1):
+        total = loop_segment_sse(pref, 0, rank) + loop_segment_sse(pref, rank, m)
+        if total < best_sse:
+            best_sse = total
+            best_rank = rank
+    ratio = 1.0 if sse_one <= 1e-13 else min(1.0, best_sse / sse_one)
+    return best_rank, best_sse, sse_one, ratio
+
+
+def loop_ks_d(ps):
+    y = np.sort(np.asarray(ps, dtype=float))
+    m = len(y)
+    i = np.arange(1, m + 1, dtype=float)
+    return float(max(np.max(i / m - y), np.max(y - (i - 1.0) / m), 0.0))
+
+
+def reference_series():
+    rng = np.random.default_rng(1982)
+    series = {f"random m={m}": rng.random(m) for m in (6, 7, 30, 101, 2000)}
+    series["tied"] = np.round(rng.random(60), 1).clip(0.1, 1.0)
+    series["constant"] = [0.3] * 25
+    series["collinear"] = [rank / 64 for rank in range(1, 41)]
+    series["two flat steps"] = [0.01] * 10 + [0.6] * 10
+    series["hockey stick"] = [0.001] * 12 + [rank / 13 for rank in range(1, 13)]
+    series["m=6 uniform grid"] = [rank / 7 for rank in range(1, 7)]
+    return series
+
+
+@pytest.mark.parametrize("name", sorted(reference_series()))
+def test_bilinearity_fit_equals_loop_reference(name):
+    ps = reference_series()[name]
+    series = build_pplot(records_from(ps), "e")
+    assert tuple(bilinearity_fit(series)) == loop_bilinearity_fit(ps)
+    assert uniformity_ks(series).d_stat == loop_ks_d(ps)
+
+
+def test_bilinearity_conventions_on_exact_lines():
+    collinear = bilinearity_fit(build_pplot(records_from([r / 64 for r in range(1, 41)]), "e"))
+    assert collinear.ratio == 1.0
+    assert collinear.breakpoint_rank == 2  # every breakpoint fits exactly; the smallest wins
+    constant = bilinearity_fit(build_pplot(records_from([0.3] * 25), "e"))
+    assert constant.ratio == 1.0
+    for value in (collinear.sse_two_segment, collinear.sse_one_segment):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_shape_stats_equals_per_row_diagnostics():
+    p = np.random.default_rng(29).random((150, 30)) ** 2
+    fracs, ks_ds, ratios = [], [], []
+    for row in p:
+        series = build_pplot(records_from(row), "e")
+        fracs.append(series.frac_le_alpha)
+        ks_ds.append(uniformity_ks(series).d_stat)
+        ratios.append(bilinearity_fit(series).ratio)
+    expected = (sum(fracs) / 150, sum(ks_ds) / 150, sum(ratios) / 150)
+    assert tuple(shape_stats(p)) == expected
+
+
+def test_shape_stats_validation():
+    with pytest.raises(InsufficientDataError):
+        shape_stats(np.full((99, 30), 0.5))
+    with pytest.raises(InsufficientDataError):
+        shape_stats(np.full((100, 5), 0.5))
+    bad = np.full((100, 30), 0.5)
+    bad[7, 3] = 0.0
+    with pytest.raises(ValidationError):
+        shape_stats(bad)
 
 
 # --------------------------------------------------------- build_volcano

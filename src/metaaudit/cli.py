@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .errors import InsufficientDataError, ValidationError
-from .searchspace import compute_space, summarize_spaces
-from .statcore import p_from_estimate
+from .searchspace import SpaceSummary, StudyCounts, compute_space, summarize_spaces
+from .statcore import BackCalcResult, EffectEstimate, p_from_estimate
 
 __all__ = ["main"]
 
@@ -62,16 +62,21 @@ def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
+def _load_rows(load, path: str) -> list:
+    rows = load(path)
+    if not rows:
+        raise ValidationError(f"{path}: no rows")
+    return rows
+
+
 # ---------------------------------------------------------------- spaces
 
+_STATS = ("min", "q1", "median", "q3", "max")
 
-def cmd_spaces(args: argparse.Namespace) -> int:
-    records = datasets.load_counts(args.infile)
-    if not records:
-        raise ValidationError(f"{args.infile}: no rows")
-    out = _out_dir(args, "spaces")
+
+def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, str]:
+    """Write spaces.csv and space_summary.csv; return the summary and its CSV text."""
     spaces = [compute_space(r) for r in records]
-
     lines = ["citation,author,outcomes,predictors,covariates,lags,space1,space2,space3"]
     for r, s in zip(records, spaces):
         lines.append(
@@ -81,15 +86,19 @@ def cmd_spaces(args: argparse.Namespace) -> int:
     _write(out / "spaces.csv", "\n".join(lines) + "\n")
 
     summary = summarize_spaces(spaces)
-    stat_names = ["min", "q1", "median", "q3", "max"]
-    summary_lines = ["statistic,space1,space2,space3"]
-    for i, stat in enumerate(stat_names):
-        summary_lines.append(
+    lines = ["statistic,space1,space2,space3"]
+    for i, stat in enumerate(_STATS):
+        lines.append(
             f"{stat},{summary.space1[i]!r},{summary.space2[i]!r},{summary.space3[i]!r}"
         )
-    summary_csv = "\n".join(summary_lines) + "\n"
+    summary_csv = "\n".join(lines) + "\n"
     _write(out / "space_summary.csv", summary_csv)
+    return summary, summary_csv
 
+
+def cmd_spaces(args: argparse.Namespace) -> int:
+    records = _load_rows(datasets.load_counts, args.infile)
+    summary, summary_csv = _write_spaces(_out_dir(args, "spaces"), records)
     print(summary_csv, end="")
     rows = [
         [stat]
@@ -97,43 +106,13 @@ def cmd_spaces(args: argparse.Namespace) -> int:
             f"{_round_half_up(getattr(summary, f'space{j}')[i]):,}"
             for j in (1, 2, 3)
         ]
-        for i, stat in enumerate(stat_names)
+        for i, stat in enumerate(_STATS)
     ]
     print(_text_table(["statistic", "space1", "space2", "space3"], rows))
     return 0
 
 
 # ----------------------------------------------------------------- pplot
-
-
-def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> dict[str, str]:
-    row = {
-        "endpoint": series.endpoint,
-        "m": str(series.m),
-        "frac_le_alpha": repr(series.frac_le_alpha),
-        "ks_d": "",
-        "ks_p": "",
-        "breakpoint_rank": "",
-        "sse_two_segment": "",
-        "sse_one_segment": "",
-        "ratio": "",
-    }
-    try:
-        ks = diagnostics.uniformity_ks(series)
-        row["ks_d"] = repr(ks.d_stat)
-        row["ks_p"] = repr(ks.p_ks)
-    except InsufficientDataError:
-        pass
-    try:
-        fit = diagnostics.bilinearity_fit(series)
-        row["breakpoint_rank"] = str(fit.breakpoint_rank)
-        row["sse_two_segment"] = repr(fit.sse_two_segment)
-        row["sse_one_segment"] = repr(fit.sse_one_segment)
-        row["ratio"] = repr(fit.ratio)
-    except InsufficientDataError:
-        pass
-    return row
-
 
 _DIAG_COLUMNS = [
     "endpoint",
@@ -148,6 +127,29 @@ _DIAG_COLUMNS = [
 ]
 
 
+def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> dict[str, str]:
+    row = dict.fromkeys(_DIAG_COLUMNS, "")
+    row.update(
+        endpoint=series.endpoint, m=str(series.m), frac_le_alpha=repr(series.frac_le_alpha)
+    )
+    try:
+        ks = diagnostics.uniformity_ks(series)
+        row.update(ks_d=repr(ks.d_stat), ks_p=repr(ks.p_ks))
+    except InsufficientDataError:
+        pass
+    try:
+        fit = diagnostics.bilinearity_fit(series)
+        row.update(
+            breakpoint_rank=str(fit.breakpoint_rank),
+            sse_two_segment=repr(fit.sse_two_segment),
+            sse_one_segment=repr(fit.sse_one_segment),
+            ratio=repr(fit.ratio),
+        )
+    except InsufficientDataError:
+        pass
+    return row
+
+
 def _diagnostics_csv(rows: list[dict[str, str]]) -> str:
     lines = [",".join(_DIAG_COLUMNS)]
     for row in rows:
@@ -155,22 +157,28 @@ def _diagnostics_csv(rows: list[dict[str, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _series_csv(series: diagnostics.PValuePlotSeries) -> str:
-    lines = ["rank,p"]
-    for rank, p in series.points:
-        lines.append(f"{rank},{p!r}")
-    return "\n".join(lines) + "\n"
+def _write_pplot(
+    out: Path, series: diagnostics.PValuePlotSeries, options: svgplot.PlotOptions
+) -> None:
+    """Write pplot_<endpoint>.csv and .svg; the endpoint label must be one file name."""
+    # A separator would add directories to the path, and no file name may hold NUL.
+    if any(char in series.endpoint for char in ("/", "\\", "\0")):
+        raise ValidationError(
+            f"endpoint {series.endpoint!r} cannot be part of an output file name: "
+            "it contains '/', '\\' or NUL"
+        )
+    # A generator, so that no list of rows stays alive while the SVG renders.
+    rows = (f"{rank},{p!r}" for rank, p in series.points)
+    _write(out / f"pplot_{series.endpoint}.csv", "\n".join(["rank,p", *rows]) + "\n")
+    _write(out / f"pplot_{series.endpoint}.svg", svgplot.render_pplot_svg(series, options))
 
 
 def cmd_pplot(args: argparse.Namespace) -> int:
     records = datasets.load_pvalues(args.infile)
     series = diagnostics.build_pplot(records, endpoint=args.endpoint, alpha=args.alpha)
+    options = svgplot.PlotOptions(comment=f"p-value plot, endpoint {series.endpoint}")
     out = _out_dir(args, "pplot")
-    _write(out / f"pplot_{series.endpoint}.csv", _series_csv(series))
-    svg = svgplot.render_pplot_svg(
-        series, svgplot.PlotOptions(comment=f"p-value plot, endpoint {series.endpoint}")
-    )
-    _write(out / f"pplot_{series.endpoint}.svg", svg)
+    _write_pplot(out, series, options)
     diag_csv = _diagnostics_csv([_diagnostics_row(series)])
     _write(out / "diagnostics.csv", diag_csv)
     print(diag_csv, end="")
@@ -184,27 +192,28 @@ def cmd_pplot(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- volcano
 
 
-def cmd_volcano(args: argparse.Namespace) -> int:
-    estimates = datasets.load_effects(args.infile)
-    if not estimates:
-        raise ValidationError(f"{args.infile}: no rows")
-    m_tests = args.m_tests if args.m_tests is not None else len(estimates)
-    points, bonferroni_y = diagnostics.build_volcano(estimates, args.alpha, m_tests)
-    out = _out_dir(args, "volcano")
-
+def _write_volcano(
+    out: Path,
+    points: list[diagnostics.VolcanoPoint],
+    bonferroni_y: float,
+    options: svgplot.PlotOptions,
+) -> str:
+    """Write volcano.csv and volcano.svg; return the CSV text."""
     lines = ["label,effect,neg_log10_p"]
     for point in points:
         lines.append(f"{point.label},{point.effect!r},{point.neg_log10_p!r}")
     csv_text = "\n".join(lines) + "\n"
     _write(out / "volcano.csv", csv_text)
-    svg = svgplot.render_volcano_svg(
-        points,
-        bonferroni_y,
-        svgplot.PlotOptions(
-            comment=f"volcano plot, alpha {args.alpha:g}, m_tests {m_tests}"
-        ),
-    )
-    _write(out / "volcano.svg", svg)
+    _write(out / "volcano.svg", svgplot.render_volcano_svg(points, bonferroni_y, options))
+    return csv_text
+
+
+def cmd_volcano(args: argparse.Namespace) -> int:
+    estimates = _load_rows(datasets.load_effects, args.infile)
+    m_tests = args.m_tests if args.m_tests is not None else len(estimates)
+    points, bonferroni_y = diagnostics.build_volcano(estimates, args.alpha, m_tests)
+    options = svgplot.PlotOptions(comment=f"volcano plot, alpha {args.alpha:g}, m_tests {m_tests}")
+    csv_text = _write_volcano(_out_dir(args, "volcano"), points, bonferroni_y, options)
 
     print(csv_text, end="")
     rows = [[p.label, f"{p.effect:.4f}", f"{p.neg_log10_p:.3f}"] for p in points]
@@ -217,9 +226,7 @@ def cmd_volcano(args: argparse.Namespace) -> int:
 
 
 def cmd_pool(args: argparse.Namespace) -> int:
-    estimates = datasets.load_effects(args.infile)
-    if not estimates:
-        raise ValidationError(f"{args.infile}: no rows")
+    estimates = _load_rows(datasets.load_effects, args.infile)
     if args.method == "fixed":
         result = pooling.pool_fixed(estimates)
     else:
@@ -269,26 +276,30 @@ def cmd_pool(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- pfromci
 
 
-def cmd_pfromci(args: argparse.Namespace) -> int:
-    estimates = datasets.load_effects(args.infile)
-    if not estimates:
-        raise ValidationError(f"{args.infile}: no rows")
-    out = _out_dir(args, "pfromci")
-
+def _write_backcalc(
+    out: Path, estimates: list[EffectEstimate]
+) -> tuple[str, list[BackCalcResult]]:
+    """Write backcalc.csv; return its text and the back-calculation of each estimate."""
+    backs = [p_from_estimate(estimate) for estimate in estimates]
     lines = ["label,log_effect,se,z,p"]
-    table_rows = []
-    for estimate in estimates:
-        back = p_from_estimate(estimate)
+    for estimate, back in zip(estimates, backs):
         lines.append(f"{estimate.label},{back.log_effect!r},{back.se!r},{back.z!r},{back.p!r}")
-        table_rows.append(
-            [estimate.label, f"{back.log_effect:.5f}", f"{back.se:.5f}",
-             f"{back.z:.3f}", f"{back.p:.3g}"]
-        )
     csv_text = "\n".join(lines) + "\n"
     _write(out / "backcalc.csv", csv_text)
+    return csv_text, backs
+
+
+def cmd_pfromci(args: argparse.Namespace) -> int:
+    estimates = _load_rows(datasets.load_effects, args.infile)
+    csv_text, backs = _write_backcalc(_out_dir(args, "pfromci"), estimates)
 
     print(csv_text, end="")
-    print(_text_table(["label", "log_rr", "se", "z", "p"], table_rows))
+    rows = [
+        [estimate.label, f"{back.log_effect:.5f}", f"{back.se:.5f}",
+         f"{back.z:.3f}", f"{back.p:.3g}"]
+        for estimate, back in zip(estimates, backs)
+    ]
+    print(_text_table(["label", "log_rr", "se", "z", "p"], rows))
     return 0
 
 
@@ -411,24 +422,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     out = _out_dir(args, "report")
     dataset = datasets.load_case_dataset()
-
-    spaces = [compute_space(r) for r in dataset.counts]
-    lines = ["citation,author,outcomes,predictors,covariates,lags,space1,space2,space3"]
-    for r, s in zip(dataset.counts, spaces):
-        lines.append(
-            f"{r.citation},{r.author},{r.outcomes},{r.predictors},"
-            f"{r.covariates},{r.lags},{s.space1},{s.space2},{s.space3}"
-        )
-    _write(out / "spaces.csv", "\n".join(lines) + "\n")
-
-    summary = summarize_spaces(spaces)
-    stat_names = ["min", "q1", "median", "q3", "max"]
-    summary_lines = ["statistic,space1,space2,space3"]
-    for i, stat in enumerate(stat_names):
-        summary_lines.append(
-            f"{stat},{summary.space1[i]!r},{summary.space2[i]!r},{summary.space3[i]!r}"
-        )
-    _write(out / "space_summary.csv", "\n".join(summary_lines) + "\n")
+    _write_spaces(out, dataset.counts)
 
     described = diagnostics.descriptives(dataset.pvalues)
     desc_lines = ["endpoint,count,min_p,max_p"]
@@ -439,38 +433,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     diag_rows = []
     for endpoint in described:
         series = diagnostics.build_pplot(dataset.pvalues, endpoint=endpoint, alpha=args.alpha)
-        _write(out / f"pplot_{endpoint}.csv", _series_csv(series))
-        svg = svgplot.render_pplot_svg(
-            series,
-            svgplot.PlotOptions(comment=f"p-value plot, endpoint {endpoint}, case-study dataset"),
-        )
-        _write(out / f"pplot_{endpoint}.svg", svg)
+        comment = f"p-value plot, endpoint {endpoint}, case-study dataset"
+        _write_pplot(out, series, svgplot.PlotOptions(comment=comment))
         diag_rows.append(_diagnostics_row(series))
     _write(out / "diagnostics.csv", _diagnostics_csv(diag_rows))
 
-    back_lines = ["label,log_effect,se,z,p"]
-    for estimate in dataset.effects:
-        back = p_from_estimate(estimate)
-        back_lines.append(
-            f"{estimate.label},{back.log_effect!r},{back.se!r},{back.z!r},{back.p!r}"
-        )
-    _write(out / "backcalc.csv", "\n".join(back_lines) + "\n")
-
+    _write_backcalc(out, dataset.effects)
     m_tests = len(dataset.effects)
     points, bonferroni_y = diagnostics.build_volcano(dataset.effects, args.alpha, m_tests)
-    volcano_lines = ["label,effect,neg_log10_p"]
-    for point in points:
-        volcano_lines.append(f"{point.label},{point.effect!r},{point.neg_log10_p!r}")
-    _write(out / "volcano.csv", "\n".join(volcano_lines) + "\n")
-    svg = svgplot.render_volcano_svg(
-        points,
-        bonferroni_y,
-        svgplot.PlotOptions(
-            title="pooled risk ratios",
-            comment=f"volcano plot, case-study dataset, alpha {args.alpha:g}, m_tests {m_tests}",
-        ),
+    options = svgplot.PlotOptions(
+        title="pooled risk ratios",
+        comment=f"volcano plot, case-study dataset, alpha {args.alpha:g}, m_tests {m_tests}",
     )
-    _write(out / "volcano.svg", svg)
+    _write_volcano(out, points, bonferroni_y, options)
 
     total = sum(stats.count for stats in described.values())
     rows = [

@@ -89,9 +89,16 @@ def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _header_map(
-    path: Path, header: list[str], required: tuple[str, ...], optional: tuple[str, ...]
-) -> dict[str, int]:
+def _open_table(
+    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...]
+) -> tuple[Path, dict[str, int], Iterator[tuple[int, list[str]]]]:
+    """Read the header row; return the path, the column indexes and the data rows."""
+    path = Path(path)
+    rows = _data_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file, expected a header row") from None
     columns = {name: index for index, name in enumerate(header)}
     missing = [name for name in required if name not in columns]
     if missing:
@@ -99,7 +106,7 @@ def _header_map(
     unknown = [name for name in header if name not in required + optional]
     if unknown:
         raise ValidationError(f"{path}: unexpected column(s) {', '.join(unknown)}")
-    return columns
+    return path, columns, rows
 
 
 def _cell(row: list[str], columns: dict[str, int], name: str) -> str:
@@ -164,13 +171,7 @@ def load_counts(path: str | Path) -> list[StudyCounts]:
         Malformed header, unparseable field, printed space mismatch, or
         duplicate citation; messages name the row and field.
     """
-    path = Path(path)
-    rows = _data_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file, expected a header row") from None
-    columns = _header_map(path, header, _COUNT_COLUMNS, _SPACE_COLUMNS)
+    path, columns, rows = _open_table(path, _COUNT_COLUMNS, _SPACE_COLUMNS)
     records: list[StudyCounts] = []
     seen: set[int] = set()
     for lineno, row in rows:
@@ -227,13 +228,7 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
     ValidationError
         Malformed rows, p outside (0, 1], or duplicate (citation, endpoint).
     """
-    path = Path(path)
-    rows = _data_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file, expected a header row") from None
-    columns = _header_map(path, header, _PVALUE_COLUMNS, ())
+    path, columns, rows = _open_table(path, _PVALUE_COLUMNS, ())
     records: list[PValueRecord] = []
     seen: set[tuple[int, str]] = set()
     for lineno, row in rows:
@@ -288,13 +283,7 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
     ValidationError
         Malformed rows or an interval that does not bracket its estimate.
     """
-    path = Path(path)
-    rows = _data_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file, expected a header row") from None
-    columns = _header_map(path, header, _EFFECT_COLUMNS, ("level",))
+    path, columns, rows = _open_table(path, _EFFECT_COLUMNS, ("level",))
     records: list[EffectEstimate] = []
     for lineno, row in rows:
         raw_level = _cell(row, columns, "level") if "level" in columns else ""

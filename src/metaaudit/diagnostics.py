@@ -26,7 +26,14 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .errors import EmptySeriesError, InsufficientDataError, ValidationError
-from .statcore import EffectEstimate, bonferroni_line, p_from_estimate
+from .statcore import (
+    EffectEstimate,
+    _require_finite,
+    _require_int,
+    _require_open_unit,
+    bonferroni_line,
+    p_from_estimate,
+)
 
 __all__ = [
     "BilinearityFit",
@@ -72,15 +79,15 @@ class PValueRecord:
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.citation, int) or isinstance(self.citation, bool):
-            raise ValidationError(f"citation must be an integer, got {self.citation!r}")
+        _require_int("citation", self.citation)
         if not self.endpoint:
             raise ValidationError("endpoint must be a non-empty string")
-        p = float(self.p)
-        if not math.isfinite(p) or not 0.0 < p <= 1.0:
+        p = _require_finite("p", self.p)
+        if not 0.0 < p <= 1.0:
             raise ValidationError(
                 f"p must lie in (0, 1], got {self.p!r} (citation {self.citation})"
             )
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -167,9 +174,7 @@ def build_pplot(
     EmptySeriesError
         If no record matches the endpoint.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    alpha = _require_open_unit("alpha", alpha)
     matching = [r for r in records if r.endpoint == endpoint]
     if not matching:
         raise EmptySeriesError(f"no p-value records for endpoint {endpoint!r}")

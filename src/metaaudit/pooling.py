@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .statcore import EffectEstimate, p_from_estimate, z_crit
+from .statcore import EffectEstimate, _require_int, p_from_estimate, z_crit
 
 __all__ = ["PooledResult", "i2", "pool_fixed", "pool_random_dl"]
 
@@ -80,10 +80,7 @@ def i2(q_stat: float, k: int) -> float:
     float
         Percentage of variability attributable to heterogeneity.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
+    _require_int("k", k, minimum=1)
     q_stat = float(q_stat)
     if not math.isfinite(q_stat) or q_stat < 0.0:
         raise ValidationError(f"q_stat must be a finite non-negative real, got {q_stat!r}")

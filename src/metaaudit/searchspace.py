@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, SearchSpaceOverflowError, ValidationError
-from .statcore import quantile_type6
+from .statcore import _require_int, quantile_type6
 
 __all__ = [
     "SearchSpace",
@@ -57,21 +57,17 @@ class StudyCounts:
     lags: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.citation, int) or isinstance(self.citation, bool):
-            raise ValidationError(f"citation must be an integer, got {self.citation!r}")
+        _require_int("citation", self.citation)
         if not self.author:
             raise ValidationError("author must be a non-empty string")
+        # The bounds are checked here, not by _require_int, to name the citation.
         for name in ("outcomes", "predictors", "lags"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            value = _require_int(name, getattr(self, name))
             if value < 1:
                 raise ValidationError(
                     f"{name} must be at least 1, got {value} (citation {self.citation})"
                 )
-        if not isinstance(self.covariates, int) or isinstance(self.covariates, bool):
-            raise ValidationError(f"covariates must be an integer, got {self.covariates!r}")
-        if self.covariates < 0:
+        if _require_int("covariates", self.covariates) < 0:
             raise ValidationError(
                 f"covariates must be non-negative, got {self.covariates} "
                 f"(citation {self.citation})"

@@ -18,7 +18,6 @@ p-values do not depend on how many replicates are drawn.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +26,7 @@ from scipy.special import ndtr
 
 from .diagnostics import PValueRecord, _ks_d, _two_segment_fits
 from .errors import InsufficientDataError, ValidationError
-from .statcore import P_FLOOR
+from .statcore import P_FLOOR, _require_finite, _require_int
 
 __all__ = [
     "REGIMES", "ShapeStats", "SimConfig", "draw_pvalues", "shape_check", "shape_stats",
@@ -85,25 +84,19 @@ class SimConfig:
             raise ValidationError(
                 f"regime must be one of {', '.join(REGIMES)}; got {self.regime!r}"
             )
-        for name, minimum in (("m", 1), ("s_tests", 1), ("replicates", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if value < minimum:
-                raise ValidationError(f"{name} must be at least {minimum}, got {value}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed <= _SEED_MAX:
+        for name in ("m", "s_tests", "replicates"):
+            _require_int(name, getattr(self, name), minimum=1)
+        if not 0 <= _require_int("seed", self.seed) <= _SEED_MAX:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.delta is None:
+        delta = self.delta
+        if delta is None:
             draws_effects = self.regime == "effect" or (
                 self.regime == "mixture" and self.mix_component == "effect"
             )
             if draws_effects:
                 raise ValidationError(f"regime {self.regime!r} draws effect studies; give delta")
-            object.__setattr__(self, "delta", 0.0)
-        if not math.isfinite(float(self.delta)):
-            raise ValidationError(f"delta must be finite, got {self.delta!r}")
+            delta = 0.0
+        object.__setattr__(self, "delta", _require_finite("delta", delta))
         if not 0.0 <= float(self.pi_mix) <= 1.0:
             raise ValidationError(f"pi_mix must lie in [0, 1], got {self.pi_mix!r}")
         if self.mix_component not in _MIX_COMPONENTS:

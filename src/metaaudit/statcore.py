@@ -41,9 +41,28 @@ P_FLOOR = 1e-300
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _require_open_unit(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+    return value
+
+
+def _require_int(name: str, value: int, minimum: int | None = None) -> int:
+    # bool is an int subclass, but True is never a count or an identifier.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
     return value
 
 
@@ -81,10 +100,7 @@ def normal_quantile(q: float) -> float:
     float
         The value x with ``normal_cdf(x) == q``.
     """
-    q = _require_finite("q", q)
-    if not 0.0 < q < 1.0:
-        raise ValidationError(f"q must lie strictly between 0 and 1, got {q!r}")
-    return float(ndtri(q))
+    return float(ndtri(_require_open_unit("q", q)))
 
 
 def z_crit(level: float = 0.95) -> float:
@@ -92,9 +108,7 @@ def z_crit(level: float = 0.95) -> float:
 
     ``z_crit(0.95)`` is 1.959964..., the familiar "1.96" at full precision.
     """
-    level = _require_finite("level", level)
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must lie strictly between 0 and 1, got {level!r}")
+    level = _require_open_unit("level", level)
     return normal_quantile(1.0 - (1.0 - level) / 2.0)
 
 
@@ -141,13 +155,8 @@ def fwer(n_tests: int, alpha: float = 0.05) -> float:
 
     Probability of at least one false positive: ``1 - (1 - alpha)**n``.
     """
-    if not isinstance(n_tests, int) or isinstance(n_tests, bool):
-        raise ValidationError(f"n_tests must be an integer, got {n_tests!r}")
-    if n_tests < 1:
-        raise ValidationError(f"n_tests must be at least 1, got {n_tests}")
-    alpha = _require_finite("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    _require_int("n_tests", n_tests, minimum=1)
+    alpha = _require_open_unit("alpha", alpha)
     return 1.0 - (1.0 - alpha) ** n_tests
 
 
@@ -164,13 +173,8 @@ def bonferroni_line(alpha: float, m_tests: int) -> BonferroniLine:
     The ``neg_log10`` value is where the horizontal reference line sits on
     a volcano plot's y axis.
     """
-    alpha = _require_finite("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    if not isinstance(m_tests, int) or isinstance(m_tests, bool):
-        raise ValidationError(f"m_tests must be an integer, got {m_tests!r}")
-    if m_tests < 1:
-        raise ValidationError(f"m_tests must be at least 1, got {m_tests}")
+    alpha = _require_open_unit("alpha", alpha)
+    _require_int("m_tests", m_tests, minimum=1)
     threshold = alpha / m_tests
     return BonferroniLine(threshold=threshold, neg_log10=-math.log10(threshold))
 
@@ -198,21 +202,20 @@ class EffectEstimate:
     level: float = 0.95
 
     def __post_init__(self) -> None:
+        values = {}
         for name in ("rr", "ci_low", "ci_high"):
-            value = _require_finite(name, getattr(self, name))
+            value = values[name] = _require_finite(name, getattr(self, name))
             if value <= 0.0:
                 raise ValidationError(
                     f"{name} must be positive for a ratio estimate, got {value!r}"
                 )
-        level = _require_finite("level", self.level)
-        if not 0.0 < level < 1.0:
-            raise ValidationError(
-                f"level must lie strictly between 0 and 1, got {level!r}"
-            )
-        if not self.ci_low <= self.rr <= self.ci_high:
+        values["level"] = _require_open_unit("level", self.level)
+        if not values["ci_low"] <= values["rr"] <= values["ci_high"]:
             raise ValidationError(
                 f"interval [{self.ci_low}, {self.ci_high}] does not bracket rr={self.rr}"
             )
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,25 @@ def test_pplot_non_utf8_input_is_validation_error(tmp_path, capsys):
     assert str(bad) in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("label", ["a/b", "x/../../escaped", "a\\b"])
+def test_pplot_endpoint_label_must_be_one_file_name(tmp_path, capsys, label):
+    data = tmp_path / "labels.csv"
+    data.write_text(
+        "citation,author,endpoint,p,direction_negative\n"
+        f"1,a,{label},0.01,false\n2,b,{label},0.4,false\n"
+    )
+    out = tmp_path / "o"
+    (out / "pplot_x").mkdir(parents=True)  # lets "pplot_x/../../escaped" resolve
+    code = run(["pplot", "--in", str(data), "--endpoint", label], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert repr(label) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.csv", "o"]
+    assert [p.name for p in out.iterdir()] == ["pplot_x"]
+    assert not any((out / "pplot_x").iterdir())
+
+
 # --------------------------------------------------------------- volcano
 
 

@@ -11,9 +11,13 @@ from metaaudit import (
     DegenerateIntervalError,
     EffectEstimate,
     P_FLOOR,
+    PValueRecord,
+    SimConfig,
+    StudyCounts,
     ValidationError,
     bonferroni_line,
     fwer,
+    i2,
     normal_cdf,
     normal_quantile,
     p_from_estimate,
@@ -281,3 +285,52 @@ def test_p_from_estimate_clamps_at_floor():
 def test_p_from_estimate_degenerate_interval():
     with pytest.raises(DegenerateIntervalError):
         p_from_estimate(EffectEstimate(label="t", rr=1.0, ci_low=1.0, ci_high=1.0))
+
+
+# ------------------------------------------- coercion at the boundary
+
+
+def test_pvalue_record_stores_p_as_float():
+    p = PValueRecord(citation=1, author="a", endpoint="x", p="0.5").p
+    assert type(p) is float and p == 0.5
+
+
+def test_effect_estimate_stores_floats():
+    given = EffectEstimate("a", "1.2", "1.1", "1.3", "0.9")
+    assert given == EffectEstimate("a", 1.2, 1.1, 1.3, 0.9)
+    assert all(type(v) is float for v in (given.rr, given.ci_low, given.ci_high, given.level))
+    assert p_from_estimate(EffectEstimate("a", "1.2", "1.1", "1.3")) == p_from_estimate(
+        EffectEstimate("a", 1.2, 1.1, 1.3)
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PValueRecord(citation=1, author="a", endpoint="x", p="abc"),
+        lambda: PValueRecord(citation=1, author="a", endpoint="x", p=None),
+        lambda: EffectEstimate("a", None, 1.1, 1.3),
+        lambda: EffectEstimate("a", "abc", 1.1, 1.3),
+    ],
+    ids=["p-abc", "p-None", "rr-None", "rr-abc"],
+)
+def test_non_numbers_are_validation_errors(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize("bad", [True, "3"])
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("citation", lambda v: PValueRecord(citation=v, author="a", endpoint="x", p=0.5)),
+        ("citation", lambda v: StudyCounts(v, "a", 1, 1, 0, 1)),
+        ("m", lambda v: SimConfig(regime="null", m=v, seed=1)),
+        ("k", lambda v: i2(3.0, v)),
+        ("n_tests", lambda v: fwer(v)),
+        ("m_tests", lambda v: bonferroni_line(0.05, v)),
+    ],
+)
+def test_integer_fields_reject_bool_and_str(name, build, bad):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        build(bad)

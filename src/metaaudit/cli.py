@@ -28,7 +28,7 @@ from pathlib import Path
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .errors import InsufficientDataError, ValidationError
 from .searchspace import SpaceSummary, StudyCounts, compute_space, summarize_spaces
-from .statcore import BackCalcResult, EffectEstimate, p_from_estimate
+from .statcore import BackCalcResult, EffectEstimate, _require_open_unit, p_from_estimate
 
 __all__ = ["main"]
 
@@ -420,6 +420,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ValidationError(
             "report runs on the bundled case-study dataset; pass --fixtures"
         )
+    # build_pplot checks alpha too, but only after the first tables are
+    # written; checking first keeps a bad value from leaving a partial bundle.
+    _require_open_unit("alpha", args.alpha)
     out = _out_dir(args, "report")
     dataset = datasets.load_case_dataset()
     _write_spaces(out, dataset.counts)

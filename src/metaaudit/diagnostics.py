@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .errors import EmptySeriesError, InsufficientDataError, ValidationError
 from .statcore import (
+    _SQRT2PI,
     EffectEstimate,
     _require_finite,
     _require_int,
@@ -211,8 +211,24 @@ def uniformity_ks(series: PValuePlotSeries) -> KsResult:
     if m < 5:
         raise InsufficientDataError(f"KS uniformity test needs m >= 5, got m={m}")
     d_stat = float(_ks_d(np.array([[p for _, p in series.points]]))[0])
-    p_ks = float(kolmogorov(math.sqrt(m) * d_stat))
-    return KsResult(d_stat=d_stat, p_ks=p_ks)
+    return KsResult(d_stat=d_stat, p_ks=_kolmogorov_sf(math.sqrt(m) * d_stat))
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """Survival function P(K > x) of the limiting Kolmogorov distribution."""
+    if x < 1.0:
+        # Jacobi-theta form: converges fast for small x, where the
+        # alternating series below would need many terms.
+        c = math.pi**2 / (8.0 * x * x)
+        s = sum(math.exp(-((2 * k - 1) ** 2) * c) for k in range(1, 8))
+        return 1.0 - _SQRT2PI / x * s
+    total, sign, k = 0.0, 1.0, 1
+    while True:
+        term = math.exp(-2.0 * k * k * x * x)
+        total += sign * term
+        if term < 1e-17:
+            return 2.0 * total
+        sign, k = -sign, k + 1
 
 
 # SSE below this is treated as an exact straight line; covers accumulated

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .statcore import EffectEstimate, _require_int, p_from_estimate, z_crit
+from .statcore import EffectEstimate, _require_finite, _require_int, p_from_estimate, z_crit
 
 __all__ = ["PooledResult", "i2", "pool_fixed", "pool_random_dl"]
 
@@ -81,8 +81,8 @@ def i2(q_stat: float, k: int) -> float:
         Percentage of variability attributable to heterogeneity.
     """
     _require_int("k", k, minimum=1)
-    q_stat = float(q_stat)
-    if not math.isfinite(q_stat) or q_stat < 0.0:
+    q_stat = _require_finite("q_stat", q_stat)
+    if q_stat < 0.0:
         raise ValidationError(f"q_stat must be a finite non-negative real, got {q_stat!r}")
     if q_stat == 0.0 or k == 1:
         return 0.0

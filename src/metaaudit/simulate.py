@@ -18,15 +18,15 @@ p-values do not depend on how many replicates are drawn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .diagnostics import PValueRecord, _ks_d, _two_segment_fits
 from .errors import InsufficientDataError, ValidationError
-from .statcore import P_FLOOR, _require_finite, _require_int
+from .statcore import _SQRT2, P_FLOOR, _require_finite, _require_int
 
 __all__ = [
     "REGIMES", "ShapeStats", "SimConfig", "draw_pvalues", "shape_check", "shape_stats",
@@ -97,8 +97,10 @@ class SimConfig:
                 raise ValidationError(f"regime {self.regime!r} draws effect studies; give delta")
             delta = 0.0
         object.__setattr__(self, "delta", _require_finite("delta", delta))
-        if not 0.0 <= float(self.pi_mix) <= 1.0:
-            raise ValidationError(f"pi_mix must lie in [0, 1], got {self.pi_mix!r}")
+        pi_mix = _require_finite("pi_mix", self.pi_mix)
+        if not 0.0 <= pi_mix <= 1.0:
+            raise ValidationError(f"pi_mix must lie in [0, 1], got {pi_mix!r}")
+        object.__setattr__(self, "pi_mix", pi_mix)
         if self.mix_component not in _MIX_COMPONENTS:
             raise ValidationError(
                 f"mix_component must be one of {', '.join(_MIX_COMPONENTS)}; "
@@ -107,7 +109,9 @@ class SimConfig:
 
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
-    return 2.0 * ndtr(-np.abs(z))
+    # 2 * Phi(-|z|) = erfc(|z| / sqrt 2). A scalar math.erfc per value is cheap
+    # next to the import a vectorised special-function library would cost.
+    return np.array([math.erfc(abs(v) / _SQRT2) for v in z.tolist()])
 
 
 def _min_of_candidates(rng: np.random.Generator, n: int, s_tests: int) -> np.ndarray:

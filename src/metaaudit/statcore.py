@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
-
-from scipy.special import ndtri
 
 from .errors import DegenerateIntervalError, InsufficientDataError, ValidationError
 
@@ -38,6 +37,10 @@ __all__ = [
 # Smallest p-value ever reported by the back-calculation; keeps -log10(p)
 # finite for plotting while staying far below anything data can produce.
 P_FLOOR = 1e-300
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -84,7 +87,7 @@ def normal_cdf(x: float) -> float:
         P(Z <= x) for Z ~ N(0, 1).
     """
     x = _require_finite("x", x)
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def normal_quantile(q: float) -> float:
@@ -100,7 +103,18 @@ def normal_quantile(q: float) -> float:
     float
         The value x with ``normal_cdf(x) == q``.
     """
-    return float(ndtri(_require_open_unit("q", q)))
+    q = _require_open_unit("q", q)
+    if q > 0.5:
+        # 1 - q is exact here, and the lower tail keeps relative accuracy.
+        return -normal_quantile(1.0 - q)
+    x = _STANDARD_NORMAL.inv_cdf(q)
+    # One Newton step on Phi(x) - q. Near the centre the residual is taken
+    # through erf against q - 0.5 (exact) to avoid cancellation in Phi - q.
+    if q > 0.25:
+        residual = 0.5 * math.erf(x / _SQRT2) - (q - 0.5)
+    else:
+        residual = 0.5 * math.erfc(-x / _SQRT2) - q
+    return x - residual * _SQRT2PI / math.exp(-0.5 * x * x)
 
 
 def z_crit(level: float = 0.95) -> float:
@@ -131,11 +145,9 @@ def quantile_type6(values, q: float) -> float:
     float
         The interpolated sample quantile.
     """
-    data = sorted(float(v) for v in values)
+    data = sorted(_require_finite("values", v) for v in values)
     if not data:
         raise InsufficientDataError("quantile of an empty sequence")
-    for v in data:
-        _require_finite("values", v)
     q = _require_finite("q", q)
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"q must lie in [0, 1], got {q!r}")

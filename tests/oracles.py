@@ -4,7 +4,7 @@ Everything here is computed with mpmath at 50 significant digits, entirely
 separately from the package code, so agreement is meaningful.
 """
 
-from mpmath import erfc, erfinv, log, mp, mpf, sqrt
+from mpmath import erfc, erfinv, exp, inf, log, mp, mpf, nsum, sqrt
 
 mp.dps = 50
 
@@ -31,3 +31,9 @@ def p_from_ci(rr, ci_low, ci_high, level="0.95") -> float:
     se = (log(hi) - log(lo)) / (2 * crit)
     z = log(rr) / se
     return float(2 * (erfc(abs(z) / sqrt(2)) / 2))
+
+
+def kolmogorov_sf(x) -> float:
+    """P(K > x) of the limiting Kolmogorov distribution, by its alternating series."""
+    x = mpf(x)
+    return float(2 * nsum(lambda k: (-1) ** (k - 1) * exp(-2 * k * k * x * x), [1, inf]))

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface: exit codes, outputs,
 determinism, and argument validation."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import metaaudit
 from metaaudit import case_counts_path, case_effects_path, case_pvalues_path
 from metaaudit.cli import main
 
@@ -256,6 +261,16 @@ def test_report_requires_fixtures_flag(tmp_path, capsys):
     assert "--fixtures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["2", "0", "nan", "-inf"])
+def test_report_bad_alpha_writes_nothing(tmp_path, capsys, alpha):
+    code = run(["report", "--fixtures", f"--alpha={alpha}"], tmp_path)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "alpha must" in captured.err
+    assert not (tmp_path / "o").exists()
+
+
 def test_report_bundle(tmp_path, capsys):
     code = run(["report", "--fixtures"], tmp_path)
     assert code == 0
@@ -276,3 +291,21 @@ def test_report_rerun_is_byte_identical(tmp_path):
     run(["report", "--fixtures"], tmp_path, out="a")
     run(["report", "--fixtures"], tmp_path, out="b")
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+
+
+# --------------------------------------------------------------- imports
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the installed tool must not need it.
+    src = str(Path(metaaudit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import metaaudit.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert result.stdout == "[]\n"

@@ -24,6 +24,7 @@ from metaaudit import (
     shape_stats,
     uniformity_ks,
 )
+from metaaudit.diagnostics import _kolmogorov_sf
 
 
 def records_from(ps, endpoint="e"):
@@ -134,6 +135,18 @@ def test_uniformity_ks_matches_scipy():
         reference = stats.kstest(ps, "uniform", mode="asymp")
         assert result.d_stat == pytest.approx(reference.statistic, abs=1e-14)
         assert result.p_ks == pytest.approx(reference.pvalue, abs=1e-12)
+
+
+def test_uniformity_ks_p_matches_oracle():
+    rng = np.random.default_rng(21)
+    for n in (5, 6, 10, 30, 104, 1000):
+        for ps in (rng.uniform(size=n), rng.uniform(size=n) ** 3):
+            result = uniformity_ks(build_pplot(records_from(ps), "e"))
+            expected = oracles.kolmogorov_sf(math.sqrt(n) * result.d_stat)
+            assert abs(result.p_ks - expected) <= 1e-15
+    # Both sides of the switch between the two series at x = 1.
+    for x in np.linspace(0.05, 4.0, 80).tolist() + [1.0, math.nextafter(1.0, 0.0)]:
+        assert abs(_kolmogorov_sf(x) - oracles.kolmogorov_sf(x)) <= 1e-15
 
 
 def test_uniformity_ks_needs_five_points():

@@ -7,9 +7,12 @@ neither side can drift unnoticed. Stdout is hashed with the output
 directory replaced by ``<out>``. A change that alters output on purpose
 updates the pins here and says so in CHANGES.md.
 
-The hashes were taken with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.
-Another numpy may draw different variates from the same seed, and another
-scipy may round ``ndtr``/``kolmogorov`` differently in the last bit.
+The hashes were taken with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux
+with glibc 2.36. Another numpy may draw different variates from the same
+seed. The normal quantile, the two-sided p-values and the Kolmogorov tail
+go through ``math.erf``/``math.erfc``/``math.exp``, which call the
+platform's C math library (libm); another libm may round them differently
+in the last bit.
 """
 
 import hashlib
@@ -46,9 +49,9 @@ RUNS = {
 
 GOLDEN = {
     "report": {
-        "backcalc.csv": "f56470b07229326d37939af60cd620db15b8e050a82ed059a96391c22e17644b",
+        "backcalc.csv": "63ed438eb7d66dd95b4de2883b9c101e214ec7323816b21b7016334cb484937e",
         "descriptives.csv": "74885e31cc6ca4d7a74db4a590a6b8c604cfa165badfa1ca53d209263093b6ee",
-        "diagnostics.csv": "7a14d0f0585b4bf90c39641230dfa3f5f6eb25bdfe6519a483de3106661a974c",
+        "diagnostics.csv": "9d50efdd56dffd3ea1c5d9bd2c2d9382af5eace73a921bfea4879c941843f1a6",
         "pplot_CO.csv": "c58c62a6aaf24a4a27cf86c8c32a0a7e8a779a59a1da950f3d6c06ba9da31081",
         "pplot_CO.svg": "733a674072a95636d19522bc3811efa96ead388800194ed81b84e5330e4337c5",
         "pplot_NO2.csv": "cbb9605646fdc4e5423163f0efcf09cbc5266dd7fc7cf31fce9d0831d40a5268",
@@ -63,13 +66,13 @@ GOLDEN = {
         "pplot_ozone.svg": "4ed5f5a7c7ec8ca59dc33078a699abe485e4013a50369c97ca5dbea98e54d7e6",
         "space_summary.csv": "7c90ff7b1bce571951b3fe7a66d816e5272154783c339d4094db83ea2043a457",
         "spaces.csv": "3e4c79d06316c95297829f9290711d800473ded4dc99c51e01a0eb36a08d56da",
-        "volcano.csv": "6f3cfff2f17473bcd7b911cb508225ddf1760a6deed8c76535095702151dd336",
+        "volcano.csv": "2515a37c21e09c4fc4b8fe245b58731caa7d3d3d49bda03ed372a96041857eb9",
         "volcano.svg": "ffe60d41b4b8eb294d7f7699651fe0e477dd6aeb8eee0ef295861f435cccfc7f",
     },
     "report_alpha_0.1": {
-        "backcalc.csv": "f56470b07229326d37939af60cd620db15b8e050a82ed059a96391c22e17644b",
+        "backcalc.csv": "63ed438eb7d66dd95b4de2883b9c101e214ec7323816b21b7016334cb484937e",
         "descriptives.csv": "74885e31cc6ca4d7a74db4a590a6b8c604cfa165badfa1ca53d209263093b6ee",
-        "diagnostics.csv": "3b25a78e29d4e1adef33d3d71b9b93e2a4063998d7e4dc4fe78b08b6f63a400e",
+        "diagnostics.csv": "dbad37d1eba05e108b867e4d6e1b900bfeb03a93a0b116d5901fe08ed8a8b8c7",
         "pplot_CO.csv": "c58c62a6aaf24a4a27cf86c8c32a0a7e8a779a59a1da950f3d6c06ba9da31081",
         "pplot_CO.svg": "ab622db7246a0cc8717651d07dd7e64f19d8fa7aa26096de8c0b1ad05dca592d",
         "pplot_NO2.csv": "cbb9605646fdc4e5423163f0efcf09cbc5266dd7fc7cf31fce9d0831d40a5268",
@@ -84,7 +87,7 @@ GOLDEN = {
         "pplot_ozone.svg": "8d84392eb42388baff595d2fa057d9f272725849a77777e060259c8e2058b765",
         "space_summary.csv": "7c90ff7b1bce571951b3fe7a66d816e5272154783c339d4094db83ea2043a457",
         "spaces.csv": "3e4c79d06316c95297829f9290711d800473ded4dc99c51e01a0eb36a08d56da",
-        "volcano.csv": "6f3cfff2f17473bcd7b911cb508225ddf1760a6deed8c76535095702151dd336",
+        "volcano.csv": "2515a37c21e09c4fc4b8fe245b58731caa7d3d3d49bda03ed372a96041857eb9",
         "volcano.svg": "2f5600202208934d4add0bec4f53fa5253a826bfd336bb5de455994b726c7efa",
     },
     "spaces": {
@@ -102,29 +105,29 @@ GOLDEN = {
         "pplot_PM2.5.svg": "7df0a8bceea433edcd2147c7c5269c6377dcd4945dd9e9c3872a0a3a4ceb1dca",
     },
     "volcano": {
-        "volcano.csv": "6f3cfff2f17473bcd7b911cb508225ddf1760a6deed8c76535095702151dd336",
+        "volcano.csv": "2515a37c21e09c4fc4b8fe245b58731caa7d3d3d49bda03ed372a96041857eb9",
         "volcano.svg": "cac43e65270d290a2d0450e187cfcfe82811619d276ca48db485a98e4e002ba3",
     },
     "volcano_m_tests": {
-        "volcano.csv": "6f3cfff2f17473bcd7b911cb508225ddf1760a6deed8c76535095702151dd336",
+        "volcano.csv": "2515a37c21e09c4fc4b8fe245b58731caa7d3d3d49bda03ed372a96041857eb9",
         "volcano.svg": "36305679b0412fb48bf2dcca9443515accf3258f5cb9f82271f15b66392bec69",
     },
     "pool_fixed": {
-        "pooled.csv": "1cdee73792347baefd8a160a29e062d99b9f2b30f4cfbf0289d717b75c7418f5",
+        "pooled.csv": "7552a5ec0399ebf4c7cd4468accdf4f1e93b6f699de591e1472834ff121c8d5e",
     },
     "pool_dl": {
-        "pooled.csv": "91ab72c45ed89608feead09b20d2156d2676707ca6dad9564fb683b7d4bf9c4c",
+        "pooled.csv": "fe344d9d84a3c5d1bdf4255d710f9568951188998a6cf190a7ff7a9e491c6dd6",
     },
     "pfromci": {
-        "backcalc.csv": "f56470b07229326d37939af60cd620db15b8e050a82ed059a96391c22e17644b",
+        "backcalc.csv": "63ed438eb7d66dd95b4de2883b9c101e214ec7323816b21b7016334cb484937e",
     },
     "simulate_null": {
-        "pvalues.csv": "1ae4c801242add584901eb1d0a980ae033db9bada847673aa2ce9a6deda2cfba",
-        "shape_stats.csv": "aff185d3a17c5510c094c3dc22b6b033cd98c26ee4bb94f938d524fc78712f02",
+        "pvalues.csv": "ff844fc0eeb4fc95683f2fa2acf1eca3f6d3f5cfd01da6b1382d393ce728313a",
+        "shape_stats.csv": "832cdc008cb8317ad8ceff150455b8b358e85899fe963f5b09479175276da3a0",
     },
     "simulate_mixture": {
-        "pvalues.csv": "f934666925442ed5a15e46a3b58a274267680399a0517badbb50b9ba26d71723",
-        "shape_stats.csv": "19f615f4574ef70dc9c0281f6589a474fb1d5cbe7f262f91b885b340fb784593",
+        "pvalues.csv": "171815be1748d20db620183301f0776d16cb81bcf8d1a0e87f8cda390679efbe",
+        "shape_stats.csv": "60c4a7fd14f1c0a729feef0751dff5a5a4df721ff5f3a43d5b3439d1c7370daa",
     },
 }
 
@@ -134,13 +137,13 @@ STDOUT = {
     "spaces": "4357d04e43a6f2f5cc5976cb8b9e4842cb5e9431ef945b90f8e599da4a26d895",
     "pplot_NO2": "6f68c5cd64de4d6f4bec0674c5e9e5ab32e0dd763b3e8effdaae2e7c753079fe",
     "pplot_PM2.5_alpha_0.1": "d38a1736dca0608a0612d70707f7b4d03b1608007b5686e3b525653db08db7c9",
-    "volcano": "a383a2d78664a6f6e5705a4f15ea80822c68f228561602824c9e37920107b52f",
-    "volcano_m_tests": "5958254e9d13f203fe35fc0db3350d5f10c3cd2b2a26d894f242a38eaf893881",
-    "pool_fixed": "0e3e797862daad6d67443edb627a0f49135d80d6abf2b1559b0577a3e145abab",
-    "pool_dl": "14e09f1b52903fd903896b427b11664d5d3f54f2eaee62067aede3b86169df90",
-    "pfromci": "5e6dd07f4c281808850bb87c78e981c650342614fb0f511f9ef485141cb7710a",
-    "simulate_null": "41c1b0269b6d775a5b7574ab492e75ed61fb43901c4741c5721773983515627a",
-    "simulate_mixture": "bb99dcb05e9c065d3fd205e7bd901ef628c29cb1590a502ea974739ce0120eab",
+    "volcano": "98329e676425200eda1c2cf33981a4f9bd9cf36c0e8b1b5999446161d3866343",
+    "volcano_m_tests": "6883fe11c30b605c7de3703a55ed26a245fd1ab6acbf09213c473c38659da5b5",
+    "pool_fixed": "a26a8071444b31c4793ba8aa98f531aad5c81ffa6a5ddd58f2210e9e430407a2",
+    "pool_dl": "2cde69084092a71f0a82f79b9c1007f1f1c68bd4d80dccf094881c9dda98eee3",
+    "pfromci": "67f307fb04725f38a846657d6bb64ccea19d5e2741a6db59ce667e1436c0cb88",
+    "simulate_null": "517217fcc5aa4de95317c880524263c92089432290949499206a81ea4b89d7a1",
+    "simulate_mixture": "3201670e19d1af0c94e281c8bdaa9ebdd2f7442bc51f8489837d4775692834fb",
 }
 
 

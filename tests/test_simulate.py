@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from metaaudit import (
     InsufficientDataError,
     ShapeStats,
@@ -14,6 +15,7 @@ from metaaudit import (
     shape_check,
     simulate_pvalues,
 )
+from metaaudit.simulate import _two_sided_p
 
 
 def flat_p(replicated):
@@ -40,6 +42,13 @@ def test_sim_config_validation():
         SimConfig(regime="mixture", m=10, seed=1, mix_component="other")
     with pytest.raises(ValidationError):
         SimConfig(regime="null", m=10, seed=1, replicates=0)
+
+
+def test_two_sided_p_matches_oracle():
+    rng = np.random.default_rng(17)
+    z = np.concatenate([rng.standard_normal(500), 3.0 + rng.standard_normal(500)])
+    for value, p in zip(z.tolist(), _two_sided_p(z).tolist()):
+        assert p == pytest.approx(oracles.two_sided_p(value), rel=1e-14, abs=0.0)
 
 
 # ------------------------------------------------------ simulate_pvalues

@@ -75,6 +75,20 @@ def test_normal_quantile_known_points():
     assert abs(normal_quantile(0.95) - 1.644854) < 1e-6
 
 
+def test_normal_quantile_matches_oracle_to_4_ulp():
+    rng = np.random.default_rng(2024)
+    lower = 10.0 ** rng.uniform(-10.0, math.log10(0.5), size=300)
+    centre = 0.5 + 10.0 ** -np.arange(1.0, 16.0)
+    grid = np.concatenate(
+        [lower, 1.0 - lower, centre, 1.0 - centre, rng.uniform(1e-10, 1.0 - 1e-10, size=300)]
+    )
+    for q in grid.tolist():
+        expected = oracles.norm_quantile(q)
+        assert abs(normal_quantile(q) - expected) <= 4 * math.ulp(expected), q
+    # The Newton step makes the familiar 1.96 correctly rounded.
+    assert z_crit(0.95) == oracles.norm_quantile(0.975)
+
+
 def test_normal_quantile_round_trip():
     rng = np.random.RandomState(1)
     for q in rng.uniform(0.001, 0.999, size=100):
@@ -295,6 +309,11 @@ def test_pvalue_record_stores_p_as_float():
     assert type(p) is float and p == 0.5
 
 
+def test_sim_config_stores_pi_mix_as_float():
+    pi_mix = SimConfig(regime="null", m=5, seed=1, pi_mix="0.5").pi_mix
+    assert type(pi_mix) is float and pi_mix == 0.5
+
+
 def test_effect_estimate_stores_floats():
     given = EffectEstimate("a", "1.2", "1.1", "1.3", "0.9")
     assert given == EffectEstimate("a", 1.2, 1.1, 1.3, 0.9)
@@ -311,8 +330,11 @@ def test_effect_estimate_stores_floats():
         lambda: PValueRecord(citation=1, author="a", endpoint="x", p=None),
         lambda: EffectEstimate("a", None, 1.1, 1.3),
         lambda: EffectEstimate("a", "abc", 1.1, 1.3),
+        lambda: SimConfig(regime="null", m=5, seed=1, pi_mix="abc"),
+        lambda: i2("abc", 3),
+        lambda: quantile_type6(["abc"], 0.5),
     ],
-    ids=["p-abc", "p-None", "rr-None", "rr-abc"],
+    ids=["p-abc", "p-None", "rr-None", "rr-abc", "pi_mix-abc", "q_stat-abc", "values-abc"],
 )
 def test_non_numbers_are_validation_errors(build):
     with pytest.raises(ValidationError):

@@ -24,6 +24,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .errors import InsufficientDataError, ValidationError
@@ -463,8 +464,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ main
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error: ...`` stderr line, exit 2.
+
+    Subparsers are built from the same class, so they report the same way.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metaaudit",
         description="Reliability auditing of meta-analyses: search spaces, "
         "p-value plots, volcano plots, pooling, and p-value simulations.",

@@ -78,15 +78,22 @@ class Dataset:
 
 
 def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """Yield (physical line number, cells) skipping comments and blanks."""
+    """Yield (record number, cells) skipping comments and blanks.
+
+    Every record counts, comments and blanks included, as a spreadsheet counts
+    rows; a quoted cell that spans lines makes later records lag their lines.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
         try:
-            for lineno, row in enumerate(csv.reader(handle), start=1):
+            for lineno, row in enumerate(reader, start=1):
                 if not row or row[0].startswith("#"):
                     continue
                 yield lineno, [cell.strip() for cell in row]
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _open_table(
@@ -237,16 +244,17 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
             continue
         truncated = raw_p.startswith("<")
         p = _parse_float(path, lineno, "p", raw_p[1:] if truncated else raw_p)
+        citation = _parse_int(path, lineno, "citation", _cell(row, columns, "citation"))
+        direction_negative = _parse_bool(
+            path, lineno, "direction_negative", _cell(row, columns, "direction_negative")
+        )
         try:
             record = PValueRecord(
-                citation=_parse_int(path, lineno, "citation", _cell(row, columns, "citation")),
+                citation=citation,
                 author=_cell(row, columns, "author"),
                 endpoint=_cell(row, columns, "endpoint"),
                 p=p,
-                direction_negative=_parse_bool(
-                    path, lineno, "direction_negative",
-                    _cell(row, columns, "direction_negative"),
-                ),
+                direction_negative=direction_negative,
                 truncated=truncated,
             )
         except ValidationError as exc:
@@ -288,13 +296,17 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
     for lineno, row in rows:
         raw_level = _cell(row, columns, "level") if "level" in columns else ""
         level = _parse_float(path, lineno, "level", raw_level) if raw_level else 0.95
+        rr, ci_low, ci_high = (
+            _parse_float(path, lineno, name, _cell(row, columns, name))
+            for name in ("rr", "ci_low", "ci_high")
+        )
         try:
             records.append(
                 EffectEstimate(
                     label=_cell(row, columns, "label"),
-                    rr=_parse_float(path, lineno, "rr", _cell(row, columns, "rr")),
-                    ci_low=_parse_float(path, lineno, "ci_low", _cell(row, columns, "ci_low")),
-                    ci_high=_parse_float(path, lineno, "ci_high", _cell(row, columns, "ci_high")),
+                    rr=rr,
+                    ci_low=ci_low,
+                    ci_high=ci_high,
                     level=level,
                 )
             )

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import EmptySeriesError, InsufficientDataError, ValidationError
 from .statcore import (
     _SQRT2PI,
@@ -34,6 +32,9 @@ from .statcore import (
     bonferroni_line,
     p_from_estimate,
 )
+
+# numpy is imported inside the functions that build or read arrays, so that
+# commands which never touch one start without paying for its import.
 
 __all__ = [
     "BilinearityFit",
@@ -210,7 +211,7 @@ def uniformity_ks(series: PValuePlotSeries) -> KsResult:
     m = series.m
     if m < 5:
         raise InsufficientDataError(f"KS uniformity test needs m >= 5, got m={m}")
-    d_stat = float(_ks_d(np.array([[p for _, p in series.points]]))[0])
+    d_stat = float(_ks_d(_as_row(series))[0])
     return KsResult(d_stat=d_stat, p_ks=_kolmogorov_sf(math.sqrt(m) * d_stat))
 
 
@@ -236,8 +237,17 @@ def _kolmogorov_sf(x: float) -> float:
 _SSE_LINEAR_EPS = 1e-13
 
 
+def _as_row(series: PValuePlotSeries) -> np.ndarray:
+    """The series' sorted p-values as a one-row array for the array kernels."""
+    import numpy as np
+
+    return np.array([[p for _, p in series.points]])
+
+
 def _ks_d(sorted_p: np.ndarray) -> np.ndarray:
     """KS distance from Uniform(0,1) of each row of a row-sorted 2-D array."""
+    import numpy as np
+
     m = sorted_p.shape[1]
     i = np.arange(1, m + 1, dtype=float)
     d = np.maximum(np.max(i / m - sorted_p, axis=1), np.max(sorted_p - (i - 1.0) / m, axis=1))
@@ -246,6 +256,8 @@ def _ks_d(sorted_p: np.ndarray) -> np.ndarray:
 
 def _line_sse(k, sx, sy, sxx, syy, sxy) -> np.ndarray:
     """SSE of least-squares lines through k points with the given sums of x, y, xx, yy, xy."""
+    import numpy as np
+
     sxx = sxx - sx * sx / k
     syy = syy - sy * sy / k
     sxy = sxy - sx * sy / k
@@ -259,6 +271,8 @@ def _two_segment_fits(sorted_p: np.ndarray):
 
     Returns arrays ``(breakpoint_rank, sse_two_segment, sse_one_segment, ratio)``.
     """
+    import numpy as np
+
     n, m = sorted_p.shape
     x, y = np.arange(1, m + 1, dtype=float), sorted_p
     # Running sums along each row; those of x are the same for every row.
@@ -302,7 +316,7 @@ def bilinearity_fit(series: PValuePlotSeries) -> BilinearityFit:
     m = series.m
     if m < 6:
         raise InsufficientDataError(f"two-segment fit needs m >= 6, got m={m}")
-    rank, sse_two, sse_one, ratio = _two_segment_fits(np.array([[p for _, p in series.points]]))
+    rank, sse_two, sse_one, ratio = _two_segment_fits(_as_row(series))
     return BilinearityFit(
         breakpoint_rank=int(rank[0]),
         sse_two_segment=float(sse_two[0]),

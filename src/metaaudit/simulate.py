@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .diagnostics import PValueRecord, _ks_d, _two_segment_fits
 from .errors import InsufficientDataError, ValidationError
 from .statcore import _SQRT2, P_FLOOR, _require_finite, _require_int
+
+# numpy is imported inside the functions that build or read arrays, so that
+# commands which never touch one start without paying for its import.
 
 __all__ = [
     "REGIMES", "ShapeStats", "SimConfig", "draw_pvalues", "shape_check", "shape_stats",
@@ -111,18 +112,24 @@ class SimConfig:
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
     # 2 * Phi(-|z|) = erfc(|z| / sqrt 2). A scalar math.erfc per value is cheap
     # next to the import a vectorised special-function library would cost.
+    import numpy as np
+
     return np.array([math.erfc(abs(v) / _SQRT2) for v in z.tolist()])
 
 
 def _min_of_candidates(rng: np.random.Generator, n: int, s_tests: int) -> np.ndarray:
     # A two-sided null p-value is Uniform(0,1), so candidate p-values are
     # drawn directly as uniforms; the study reports the minimum.
+    import numpy as np
+
     if n == 0:
         return np.empty(0)
     return rng.random((n, s_tests)).min(axis=1)
 
 
 def _replicate_p(cfg: SimConfig, index: int) -> np.ndarray:
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
     rng = np.random.default_rng(seq)
     if cfg.regime == "null":
@@ -149,6 +156,8 @@ def draw_pvalues(cfg: SimConfig) -> np.ndarray:
     Row ``i`` is replicate ``i``, drawn in study order from the stream
     ``SeedSequence(entropy=cfg.seed, spawn_key=(i,))``.
     """
+    import numpy as np
+
     p = np.empty((cfg.replicates, cfg.m))
     for index in range(cfg.replicates):
         p[index] = _replicate_p(cfg, index)
@@ -198,6 +207,8 @@ def shape_stats(p: np.ndarray) -> ShapeStats:
     100 rows (fewer are too noisy to summarize by a mean) and ``m >= 6`` for
     the two-segment fit.
     """
+    import numpy as np
+
     replicates, m = p.shape
     if replicates < 100:
         raise InsufficientDataError(f"shape_stats needs at least 100 replicates, got {replicates}")

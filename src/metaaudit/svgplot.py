@@ -11,7 +11,6 @@ check structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .diagnostics import PValuePlotSeries, VolcanoPoint
 from .errors import ValidationError
@@ -41,6 +40,12 @@ class PlotOptions:
 def _fmt(value: float) -> str:
     text = f"{value:.2f}"
     return "0.00" if text == "-0.00" else text
+
+
+def _escape(text: str) -> str:
+    # XML character-data escape, as xml.sax.saxutils.escape without entities;
+    # "&" goes first so the other two replacements are not escaped again.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _comment_lines(options: PlotOptions) -> list[str]:
@@ -99,7 +104,7 @@ class _Frame:
         segment = f"M{_fmt(px)} {_fmt(self.bottom)} L{_fmt(px)} {_fmt(self.bottom + 5)}"
         text = (
             f'<text x="{_fmt(px)}" y="{_fmt(self.bottom + 18)}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="middle">{escape(label)}</text>'
+            f'font-size="12" text-anchor="middle">{_escape(label)}</text>'
         )
         return segment, text
 
@@ -108,7 +113,7 @@ class _Frame:
         segment = f"M{_fmt(self.left - 5)} {_fmt(py)} L{_fmt(self.left)} {_fmt(py)}"
         text = (
             f'<text x="{_fmt(self.left - 8)}" y="{_fmt(py + 4)}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="end">{escape(label)}</text>'
+            f'font-size="12" text-anchor="end">{_escape(label)}</text>'
         )
         return segment, text
 
@@ -128,18 +133,18 @@ class _Frame:
             parts.append(
                 f'<text x="{_fmt(o.width / 2)}" y="{_fmt(self.top - 15)}" '
                 f'font-family="sans-serif" font-size="16" text-anchor="middle">'
-                f"{escape(title)}</text>"
+                f"{_escape(title)}</text>"
             )
         parts.append(
             f'<text x="{_fmt((self.left + self.right) / 2)}" y="{_fmt(o.height - 10)}" '
             f'font-family="sans-serif" font-size="13" text-anchor="middle">'
-            f"{escape(x_label)}</text>"
+            f"{_escape(x_label)}</text>"
         )
         parts.append(
             f'<text x="15" y="{_fmt((self.top + self.bottom) / 2)}" '
             f'font-family="sans-serif" font-size="13" text-anchor="middle" '
             f'transform="rotate(-90 15 {_fmt((self.top + self.bottom) / 2)})">'
-            f"{escape(y_label)}</text>"
+            f"{_escape(y_label)}</text>"
         )
         return parts
 
@@ -270,7 +275,7 @@ def render_volcano_svg(
         if point.label:
             parts.append(
                 f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" font-family="sans-serif" '
-                f'font-size="11">{escape(point.label)}</text>'
+                f'font-size="11">{_escape(point.label)}</text>'
             )
     parts.extend(frame.titles(options.title, "log risk ratio", "-log10(p)"))
     parts.append("</svg>")

@@ -82,6 +82,35 @@ def test_pplot_invalid_row_names_location(tmp_path, capsys):
     assert "row 2" in err
 
 
+@pytest.mark.parametrize(
+    "command,header,row",
+    [
+        ("pplot", "citation,author,endpoint,p,direction_negative", "1,a,x,0.5,maybe"),
+        ("pplot", "citation,author,endpoint,p,direction_negative", "one,a,x,0.5,false"),
+        ("pfromci", "label,rr,ci_low,ci_high", "x,abc,1.0,2.0"),
+    ],
+    ids=["direction_negative", "citation", "rr"],
+)
+def test_bad_field_names_location_once(tmp_path, capsys, command, header, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{header}\n{row}\n")
+    extra = ["--endpoint", "x"] if command == "pplot" else []
+    assert run([command, "--in", str(bad), *extra], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.count(f"{bad}: row 2: ") == 1
+
+
+@pytest.mark.parametrize("command", ["pfromci", "volcano"])
+def test_oversized_csv_field_is_validation_error(tmp_path, capsys, command):
+    big = tmp_path / "big.csv"
+    big.write_text("label,rr,ci_low,ci_high\n" + "x" * 200_000 + ",1.1,1.0,1.2\n")
+    assert run([command, "--in", str(big)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {big}: line 2: ") and "field limit" in err
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     code = run(["pplot", "--in", str(tmp_path / "nope.csv"), "--endpoint", "x"], tmp_path)
     assert code == 1
@@ -176,6 +205,24 @@ def test_seed_rejected_outside_simulate(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["pool", "--in", str(case_effects_path()), "--method", "dl", "--seed", "1"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--m", "abc", "--seed", "1"],
+        ["bogus"],
+        ["simulate", "--regime", "bogus", "--m", "10", "--seed", "1"],
+    ],
+    ids=["bad-int", "unknown-command", "bad-choice"],
+)
+def test_bad_command_line_is_one_stderr_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_simulate_deterministic_outputs(tmp_path):
@@ -296,16 +343,44 @@ def test_report_rerun_is_byte_identical(tmp_path):
 # --------------------------------------------------------------- imports
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; the installed tool must not need it.
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(metaaudit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the installed tool must not need it.
     code = (
         "import metaaudit.cli, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert result.stdout == "[]\n"
+    assert run_fresh(code).stdout == "[]\n"
+
+
+def test_array_free_commands_load_no_numpy(tmp_path):
+    # Five of the seven commands never build an array, so they must start
+    # without numpy, and no command needs the XML or URL libraries.
+    heavy = ("numpy", "xml.sax", "urllib.request")
+    code = f"""
+import sys
+import metaaudit
+bare = sorted(m for m in {heavy!r} if m in sys.modules)
+from metaaudit import case_counts_path, case_effects_path
+from metaaudit.cli import main
+effects, out = str(case_effects_path()), {str(tmp_path)!r}
+runs = [
+    ["spaces", "--in", str(case_counts_path())],
+    ["pool", "--in", effects, "--method", "fixed"],
+    ["pool", "--in", effects, "--method", "dl"],
+    ["pfromci", "--in", effects],
+    ["volcano", "--in", effects],
+]
+codes = [main(argv + ["--out", out + "/" + argv[0]]) for argv in runs]
+print(bare, codes, sorted(m for m in {heavy!r} if m in sys.modules), file=sys.stderr)
+"""
+    assert run_fresh(code).stderr == "[] [0, 0, 0, 0, 0] []\n"

@@ -74,6 +74,19 @@ def test_pplot_escapes_labels():
     svg = render_pplot_svg(series_from([0.5], endpoint="a<b&c"))
     assert "a&lt;b&amp;c" in svg
     assert "a<b&c" not in svg
+    # The renderers escape exactly as the standard library's XML escape does.
+    from xml.sax.saxutils import escape
+
+    for label in ("x>y", "a&lt;b", "<&>&&<<>>"):
+        svg = render_pplot_svg(series_from([0.5], endpoint=label))
+        assert f">{escape(label)}</text>" in svg
+    assert ">a&amp;lt;b</text>" in render_pplot_svg(series_from([0.5], endpoint="a&lt;b"))
+    points = [VolcanoPoint(label="NO2 <lag 0&1>", effect=0.1, neg_log10_p=1.1)]
+    title = "risk ratios > 1 & &gt;"
+    svg = render_volcano_svg(points, 1.3, PlotOptions(title=title))
+    assert f">{escape(points[0].label)}</text>" in svg
+    assert f">{escape(title)}</text>" in svg
+    assert "<lag" not in svg and "> 1 &" not in svg
 
 
 def test_pplot_options_respected(ozone_series):

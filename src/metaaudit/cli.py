@@ -373,7 +373,7 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
         s_tests=pick(args.s_tests, "s_tests", _config_int, 1),
         pi_mix=pick(args.pi, "pi", _config_float, 0.0),
         replicates=pick(args.replicates, "replicates", _config_int, 1),
-        mix_component=file_values.get("mix_component", "phack"),
+        mix_component=args.mix_component or file_values.get("mix_component", "phack"),
     )
 
 
@@ -523,6 +523,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-tests", dest="s_tests", type=int, default=None,
                    help="candidate tests per study under phack")
     p.add_argument("--pi", type=float, default=None, help="mixture fraction")
+    p.add_argument("--mix-component", dest="mix_component", choices=simulate.MIX_COMPONENTS,
+                   default=None, help="what the non-null mixture studies are")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
     p.add_argument("--replicates", type=int, default=None)
 

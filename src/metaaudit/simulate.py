@@ -11,9 +11,13 @@ of at least one p <= alpha across S candidates is the familiar
 ``1 - (1 - alpha)**S``. Real search spaces are correlated; independence is
 the upper bound and keeps the arithmetic transparent.
 
-Determinism: every replicate draws from its own substream, derived from
-(seed, replicate index) by NumPy's SeedSequence spawning, so a replicate's
-p-values do not depend on how many replicates are drawn.
+The reported minimum of S iid Uniform(0,1) candidate p-values is Beta(1, S),
+drawn exactly from one uniform per study, so S costs O(1) per study.
+
+Determinism: ``SeedSequence(seed)`` spawns one generator per kind of variate
+(selection uniforms, candidate uniforms, normals), and replicate i is the
+i-th block of m draws of each kind, so a replicate's p-values do not depend
+on how many replicates are drawn.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ from .statcore import _SQRT2, P_FLOOR, _require_finite, _require_int
 # commands which never touch one start without paying for its import.
 
 __all__ = [
-    "REGIMES", "ShapeStats", "SimConfig", "draw_pvalues", "shape_check", "shape_stats",
-    "simulate_pvalues",
+    "MIX_COMPONENTS", "REGIMES", "ShapeStats", "SimConfig", "draw_pvalues", "shape_check",
+    "shape_stats", "simulate_pvalues",
 ]
 
 REGIMES = ("null", "effect", "phack", "mixture")
 
-_MIX_COMPONENTS = ("phack", "effect")
+MIX_COMPONENTS = ("phack", "effect")
 
 _SEED_MAX = 2**64 - 1
 
@@ -102,9 +106,9 @@ class SimConfig:
         if not 0.0 <= pi_mix <= 1.0:
             raise ValidationError(f"pi_mix must lie in [0, 1], got {pi_mix!r}")
         object.__setattr__(self, "pi_mix", pi_mix)
-        if self.mix_component not in _MIX_COMPONENTS:
+        if self.mix_component not in MIX_COMPONENTS:
             raise ValidationError(
-                f"mix_component must be one of {', '.join(_MIX_COMPONENTS)}; "
+                f"mix_component must be one of {', '.join(MIX_COMPONENTS)}; "
                 f"got {self.mix_component!r}"
             )
 
@@ -117,51 +121,46 @@ def _two_sided_p(z: np.ndarray) -> np.ndarray:
     return np.array([math.erfc(abs(v) / _SQRT2) for v in z.tolist()])
 
 
-def _min_of_candidates(rng: np.random.Generator, n: int, s_tests: int) -> np.ndarray:
-    # A two-sided null p-value is Uniform(0,1), so candidate p-values are
-    # drawn directly as uniforms; the study reports the minimum.
+def _min_p(u: np.ndarray, s_tests: int) -> np.ndarray:
+    # The minimum of S iid Uniform(0,1) p-values is Beta(1, S); this is its
+    # inverse CDF, 1 - (1 - u)**(1/S), at the uniforms u.
     import numpy as np
 
-    if n == 0:
-        return np.empty(0)
-    return rng.random((n, s_tests)).min(axis=1)
-
-
-def _replicate_p(cfg: SimConfig, index: int) -> np.ndarray:
-    import numpy as np
-
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
-    rng = np.random.default_rng(seq)
-    if cfg.regime == "null":
-        p = _two_sided_p(rng.standard_normal(cfg.m))
-    elif cfg.regime == "effect":
-        p = _two_sided_p(cfg.delta + rng.standard_normal(cfg.m))
-    elif cfg.regime == "phack":
-        p = _min_of_candidates(rng, cfg.m, cfg.s_tests)
-    else:  # mixture
-        selected = rng.random(cfg.m) < cfg.pi_mix
-        p = np.empty(cfg.m)
-        n_selected = int(selected.sum())
-        if cfg.mix_component == "phack":
-            p[selected] = _min_of_candidates(rng, n_selected, cfg.s_tests)
-        else:
-            p[selected] = _two_sided_p(cfg.delta + rng.standard_normal(n_selected))
-        p[~selected] = _two_sided_p(rng.standard_normal(cfg.m - n_selected))
-    return np.clip(p, P_FLOOR, 1.0)
+    return -np.expm1(np.log1p(-u) / s_tests)
 
 
 def draw_pvalues(cfg: SimConfig) -> np.ndarray:
     """Simulated p-values in [P_FLOOR, 1] as a ``(cfg.replicates, cfg.m)`` array.
 
-    Row ``i`` is replicate ``i``, drawn in study order from the stream
-    ``SeedSequence(entropy=cfg.seed, spawn_key=(i,))``.
+    ``SeedSequence(cfg.seed).spawn(3)`` seeds one generator each for
+    selection uniforms, candidate uniforms and normals; each kind a regime
+    uses is one ``(replicates, m)`` draw, so row ``i`` (replicate ``i``, in
+    study order) is the i-th block of m draws of each kind. A null or effect
+    study reports the two-sided p of its normal (plus delta for an effect),
+    a phack study the exact Beta(1, S) minimum p from its candidate uniform;
+    a mixture study is non-null when its selection uniform is below
+    ``pi_mix``. Time and memory are O(replicates * m) for any S.
     """
     import numpy as np
 
-    p = np.empty((cfg.replicates, cfg.m))
-    for index in range(cfg.replicates):
-        p[index] = _replicate_p(cfg, index)
-    return p
+    shape = (cfg.replicates, cfg.m)
+    selection, candidates, normals = (
+        np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
+    if cfg.regime == "phack":
+        return np.clip(_min_p(candidates.random(shape), cfg.s_tests), P_FLOOR, 1.0)
+    p = normals.standard_normal(shape)
+    selected = selection.random(shape) < cfg.pi_mix if cfg.regime == "mixture" else None
+    if cfg.regime == "effect":
+        p += cfg.delta
+    elif selected is not None and cfg.mix_component == "effect":
+        p += cfg.delta * selected
+    # Row by row: a list over the whole array would hold one Python float per p-value.
+    for row in p:
+        row[:] = _two_sided_p(row)
+    if selected is not None and cfg.mix_component == "phack":
+        p = np.where(selected, _min_p(candidates.random(shape), cfg.s_tests), p)
+    return np.clip(p, P_FLOOR, 1.0, out=p)
 
 
 def simulate_pvalues(cfg: SimConfig) -> list[list[PValueRecord]]:

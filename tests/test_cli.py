@@ -5,12 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import metaaudit
-from metaaudit import case_counts_path, case_effects_path, case_pvalues_path
+from metaaudit import case_counts_path, case_effects_path, case_pvalues_path, simulate
 from metaaudit.cli import main
 
 
@@ -287,8 +288,9 @@ def test_simulate_non_utf8_config_is_validation_error(tmp_path, capsys):
     [
         (["--regime", "effect"], ""),
         ([], "regime=mixture\nmix_component=effect\npi=0.3\n"),
+        (["--regime", "mixture", "--mix-component", "effect", "--pi", "0.3"], ""),
     ],
-    ids=["effect", "mixture-effect"],
+    ids=["effect", "mixture-effect", "mixture-effect-flag"],
 )
 def test_simulate_effect_studies_need_delta(tmp_path, capsys, flags, config):
     cfg = tmp_path / "sim.cfg"
@@ -297,6 +299,46 @@ def test_simulate_effect_studies_need_delta(tmp_path, capsys, flags, config):
     assert code == 2
     assert "delta" in capsys.readouterr().err
     assert run(["simulate", "--in", str(cfg), "--delta", "0"] + flags, tmp_path) == 0
+
+
+def test_simulate_mix_component_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("regime=mixture\nmix_component=effect\ndelta=3\npi=1\nm=10\nseed=4\n")
+    assert run(["simulate", "--in", str(cfg)], tmp_path, out="effect") == 0
+    assert run(["simulate", "--in", str(cfg), "--mix-component", "phack"], tmp_path,
+               out="phack") == 0
+    # with pi=1 every study is non-null, so the two components give different p-values
+    effect, phack = (read_all(tmp_path / out) for out in ("effect", "phack"))
+    assert effect["pvalues.csv"] != phack["pvalues.csv"]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--regime", "phack"], ["--regime", "mixture", "--pi", "0.4"]],
+    ids=["phack", "mixture"],
+)
+def test_simulate_search_space_of_any_size(tmp_path, capsys, flags):
+    # the minimum p of 10**8 candidates is one Beta(1, S) draw per study
+    code = run(["simulate", *flags, "--m", "30", "--s-tests", "100000000",
+                "--replicates", "2", "--seed", "1"], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "o" / "pvalues.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 30
+
+
+def test_simulate_draw_memory_does_not_grow_with_search_space():
+    def peak(s_tests):
+        cfg = simulate.SimConfig(regime="mixture", m=30, seed=1, s_tests=s_tests, pi_mix=0.4,
+                                 replicates=50)
+        tracemalloc.start()
+        try:
+            simulate.draw_pvalues(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, huge = peak(10), peak(10**8)
+    assert huge <= 2 * small
 
 
 # ---------------------------------------------------------------- report

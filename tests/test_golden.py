@@ -1,4 +1,4 @@
-"""Golden hashes: every file and the stdout of twelve CLI runs, pinned by sha256.
+"""Golden hashes: every file and the stdout of thirteen CLI runs, pinned by sha256.
 
 These pins make "byte-identical output" checkable across changes, not just
 between two runs in a row. The single commands are pinned next to
@@ -44,6 +44,10 @@ RUNS = {
     "simulate_mixture": [
         "simulate", "--regime", "mixture", "--m", "30", "--s-tests", "1000",
         "--pi", "0.4", "--replicates", "200", "--seed", "42",
+    ],
+    "simulate_phack": [
+        "simulate", "--regime", "phack", "--m", "30", "--s-tests", "10000",
+        "--replicates", "200", "--seed", "42",
     ],
 }
 
@@ -122,12 +126,16 @@ GOLDEN = {
         "backcalc.csv": "63ed438eb7d66dd95b4de2883b9c101e214ec7323816b21b7016334cb484937e",
     },
     "simulate_null": {
-        "pvalues.csv": "ff844fc0eeb4fc95683f2fa2acf1eca3f6d3f5cfd01da6b1382d393ce728313a",
-        "shape_stats.csv": "832cdc008cb8317ad8ceff150455b8b358e85899fe963f5b09479175276da3a0",
+        "pvalues.csv": "4981d6f2bdd8f0419d73d6711c65281486afd34b5711ffe5d56d51df7226a79e",
+        "shape_stats.csv": "3923165d10f16091785e2d19eb077ceaf17cf04b71a41fd25e6e8cdcab1ae295",
     },
     "simulate_mixture": {
-        "pvalues.csv": "171815be1748d20db620183301f0776d16cb81bcf8d1a0e87f8cda390679efbe",
-        "shape_stats.csv": "60c4a7fd14f1c0a729feef0751dff5a5a4df721ff5f3a43d5b3439d1c7370daa",
+        "pvalues.csv": "fe5e982e20018cade0d4314451a5fb858eed5400f90d6bab4ef7bdf3ef600d6b",
+        "shape_stats.csv": "b7e30c2d84b3066f961d8d95a02d7b899d57d633e287fe9a655cd07c495362fe",
+    },
+    "simulate_phack": {
+        "pvalues.csv": "927854cf919ba61557bfc2488de1f16c169042ecce191532537bd58508cd78e9",
+        "shape_stats.csv": "da2e7ebca58ac396ac91ba0cc53e8f73c2b9e70c8e7087fe218027bc04c47bb7",
     },
 }
 
@@ -142,8 +150,9 @@ STDOUT = {
     "pool_fixed": "a26a8071444b31c4793ba8aa98f531aad5c81ffa6a5ddd58f2210e9e430407a2",
     "pool_dl": "2cde69084092a71f0a82f79b9c1007f1f1c68bd4d80dccf094881c9dda98eee3",
     "pfromci": "67f307fb04725f38a846657d6bb64ccea19d5e2741a6db59ce667e1436c0cb88",
-    "simulate_null": "517217fcc5aa4de95317c880524263c92089432290949499206a81ea4b89d7a1",
-    "simulate_mixture": "3201670e19d1af0c94e281c8bdaa9ebdd2f7442bc51f8489837d4775692834fb",
+    "simulate_null": "f663391fc38e911ef654bc7cd1cde4a99329c3315f92a955ee22e924aebd4643",
+    "simulate_mixture": "676ff76918c94d17267f86fdd19653f8028a6b76c23bf841481ea734d27bd658",
+    "simulate_phack": "7521a7af4159fc94dd1464174917c2a469bac2a8c2bc601cb767cd9f0bb66c02",
 }
 
 

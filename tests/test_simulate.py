@@ -11,6 +11,7 @@ from metaaudit import (
     SimConfig,
     ValidationError,
     build_pplot,
+    draw_pvalues,
     fwer,
     shape_check,
     simulate_pvalues,
@@ -78,9 +79,15 @@ def test_different_seeds_differ():
 def test_replicate_streams_are_independent_of_count():
     # replicate i is the same whether or not later replicates are generated,
     # which is what makes parallel and serial execution agree
-    short = simulate_pvalues(SimConfig(regime="null", m=15, seed=9, replicates=2))
-    long = simulate_pvalues(SimConfig(regime="null", m=15, seed=9, replicates=6))
-    assert long[:2] == short
+    for extra in (
+        {"regime": "null"},
+        {"regime": "phack", "s_tests": 40},
+        {"regime": "mixture", "s_tests": 40, "pi_mix": 0.3},
+        {"regime": "mixture", "delta": 2.0, "pi_mix": 0.3, "mix_component": "effect"},
+    ):
+        short = simulate_pvalues(SimConfig(m=15, seed=9, replicates=2, **extra))
+        long = simulate_pvalues(SimConfig(m=15, seed=9, replicates=6, **extra))
+        assert long[:2] == short, extra
 
 
 def test_null_fraction_below_alpha():
@@ -122,6 +129,20 @@ def test_phack_matches_fwer_closed_form():
     cfg = SimConfig(regime="phack", m=2000, seed=8, s_tests=20, replicates=5)
     ps = np.array(flat_p(simulate_pvalues(cfg)))
     assert np.mean(ps <= 0.05) == pytest.approx(fwer(20, 0.05), abs=0.02)
+
+
+@pytest.mark.parametrize("s_tests", [1, 2, 20])
+def test_phack_matches_brute_force_minimum(s_tests):
+    # the reference takes the minimum of S uniforms from a generator of its own
+    ps = draw_pvalues(SimConfig(regime="phack", m=500, seed=15, s_tests=s_tests, replicates=4))
+    brute = np.random.default_rng(150).random((2000, s_tests)).min(axis=1)
+    assert stats.ks_2samp(ps.ravel(), brute).pvalue > 0.01
+
+
+def test_phack_huge_search_matches_closed_form_cdf():
+    s_tests = 10**6
+    ps = draw_pvalues(SimConfig(regime="phack", m=2000, seed=16, s_tests=s_tests))
+    assert stats.kstest(ps.ravel(), lambda t: 1 - (1 - t) ** s_tests).pvalue > 0.01
 
 
 def test_phack_stochastic_dominance():

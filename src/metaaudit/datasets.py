@@ -13,6 +13,9 @@ optional ``#`` comment lines:
 * effects: ``label,rr,ci_low,ci_high`` with optional ``level`` (default
   0.95).
 
+One writer, ``_write_table``, writes the ``save_*`` files and the tables of
+the command line, so every table shares one format.
+
 The package bundles a transcription of a well-known case study: the 34
 base papers of a 2012 meta-analysis of main air pollutants and myocardial
 infarction (JAMA 307(7):713-721), as variable counts, 104 reported
@@ -22,10 +25,11 @@ p-values across six pollutants, and the six pooled risk ratios.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .diagnostics import PValueRecord
 from .errors import ValidationError
@@ -121,37 +125,47 @@ def _cell(row: list[str], columns: dict[str, int], name: str) -> str:
     return row[index] if index < len(row) else ""
 
 
-def _parse_int(path: Path, lineno: int, name: str, raw: str) -> int:
+def _parse_int(name: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValidationError(
-            f"{path}: row {lineno}: field '{name}': not an integer: {raw!r}"
-        ) from None
+        raise ValidationError(f"field '{name}': not an integer: {raw!r}") from None
 
 
-def _parse_float(path: Path, lineno: int, name: str, raw: str) -> float:
+def _parse_float(name: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ValidationError(
-            f"{path}: row {lineno}: field '{name}': not a number: {raw!r}"
-        ) from None
+        raise ValidationError(f"field '{name}': not a number: {raw!r}") from None
 
 
 _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no"}
 
 
-def _parse_bool(path: Path, lineno: int, name: str, raw: str) -> bool:
+def _parse_bool(name: str, raw: str) -> bool:
     lowered = raw.lower()
     if lowered in _TRUE:
         return True
     if lowered in _FALSE:
         return False
-    raise ValidationError(
-        f"{path}: row {lineno}: field '{name}': not a boolean: {raw!r}"
-    )
+    raise ValidationError(f"field '{name}': not a boolean: {raw!r}")
+
+
+def _write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """Write a header row and data rows as CSV; return the text written.
+
+    Lines end in a bare line feed, and a cell is quoted only when it holds a
+    comma, a quote or a line break. Numbers are written by ``str``, which for
+    a float is its shortest round-tripping form.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    Path(path).write_text(text, encoding="utf-8", newline="")
+    return text
 
 
 _COUNT_COLUMNS = ("citation", "author", "outcomes", "predictors", "covariates", "lags")
@@ -182,31 +196,27 @@ def load_counts(path: str | Path) -> list[StudyCounts]:
     records: list[StudyCounts] = []
     seen: set[int] = set()
     for lineno, row in rows:
-        values = {
-            name: _parse_int(path, lineno, name, _cell(row, columns, name))
-            for name in ("citation", "outcomes", "predictors", "covariates", "lags")
-        }
         try:
+            values = {
+                name: _parse_int(name, _cell(row, columns, name))
+                for name in ("citation", "outcomes", "predictors", "covariates", "lags")
+            }
             record = StudyCounts(author=_cell(row, columns, "author"), **values)
             space = compute_space(record)
+            for name, computed in zip(
+                _SPACE_COLUMNS, (space.space1, space.space2, space.space3)
+            ):
+                raw = _cell(row, columns, name) if name in columns else ""
+                printed = _parse_int(name, raw) if raw else computed
+                if printed != computed:
+                    raise ValidationError(
+                        f"field '{name}': printed value {printed} "
+                        f"does not match recomputed {computed}"
+                    )
+            if record.citation in seen:
+                raise ValidationError(f"duplicate citation {record.citation}")
         except ValidationError as exc:
             raise type(exc)(f"{path}: row {lineno}: {exc}") from None
-        for name, computed in zip(_SPACE_COLUMNS, (space.space1, space.space2, space.space3)):
-            if name not in columns:
-                continue
-            raw = _cell(row, columns, name)
-            if not raw:
-                continue
-            printed = _parse_int(path, lineno, name, raw)
-            if printed != computed:
-                raise ValidationError(
-                    f"{path}: row {lineno}: field '{name}': printed value {printed} "
-                    f"does not match recomputed {computed}"
-                )
-        if record.citation in seen:
-            raise ValidationError(
-                f"{path}: row {lineno}: duplicate citation {record.citation}"
-            )
         seen.add(record.citation)
         records.append(record)
     return records
@@ -242,28 +252,24 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
         raw_p = _cell(row, columns, "p")
         if not raw_p:
             continue
-        truncated = raw_p.startswith("<")
-        p = _parse_float(path, lineno, "p", raw_p[1:] if truncated else raw_p)
-        citation = _parse_int(path, lineno, "citation", _cell(row, columns, "citation"))
-        direction_negative = _parse_bool(
-            path, lineno, "direction_negative", _cell(row, columns, "direction_negative")
-        )
         try:
+            truncated = raw_p.startswith("<")
+            # p, citation, direction_negative: the first bad field is the one reported.
             record = PValueRecord(
-                citation=citation,
+                p=_parse_float("p", raw_p[1:] if truncated else raw_p),
+                citation=_parse_int("citation", _cell(row, columns, "citation")),
+                direction_negative=_parse_bool(
+                    "direction_negative", _cell(row, columns, "direction_negative")
+                ),
                 author=_cell(row, columns, "author"),
                 endpoint=_cell(row, columns, "endpoint"),
-                p=p,
-                direction_negative=direction_negative,
                 truncated=truncated,
             )
+            key = (record.citation, record.endpoint)
+            if key in seen:
+                raise ValidationError(f"duplicate (citation, endpoint) = {key}")
         except ValidationError as exc:
             raise type(exc)(f"{path}: row {lineno}: {exc}") from None
-        key = (record.citation, record.endpoint)
-        if key in seen:
-            raise ValidationError(
-                f"{path}: row {lineno}: duplicate (citation, endpoint) = {key}"
-            )
         seen.add(key)
         records.append(record)
     return records
@@ -294,19 +300,15 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
     path, columns, rows = _open_table(path, _EFFECT_COLUMNS, ("level",))
     records: list[EffectEstimate] = []
     for lineno, row in rows:
-        raw_level = _cell(row, columns, "level") if "level" in columns else ""
-        level = _parse_float(path, lineno, "level", raw_level) if raw_level else 0.95
-        rr, ci_low, ci_high = (
-            _parse_float(path, lineno, name, _cell(row, columns, name))
-            for name in ("rr", "ci_low", "ci_high")
-        )
         try:
+            raw_level = _cell(row, columns, "level") if "level" in columns else ""
+            level = _parse_float("level", raw_level) if raw_level else 0.95
             records.append(
                 EffectEstimate(
                     label=_cell(row, columns, "label"),
-                    rr=rr,
-                    ci_low=ci_low,
-                    ci_high=ci_high,
+                    rr=_parse_float("rr", _cell(row, columns, "rr")),
+                    ci_low=_parse_float("ci_low", _cell(row, columns, "ci_low")),
+                    ci_high=_parse_float("ci_high", _cell(row, columns, "ci_high")),
                     level=level,
                 )
             )
@@ -317,56 +319,28 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
 
 def save_counts(records: list[StudyCounts], path: str | Path) -> None:
     """Write study counts as CSV, including recomputed space columns."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_COUNT_COLUMNS + _SPACE_COLUMNS)
-        for record in records:
-            space = compute_space(record)
-            writer.writerow(
-                [
-                    record.citation,
-                    record.author,
-                    record.outcomes,
-                    record.predictors,
-                    record.covariates,
-                    record.lags,
-                    space.space1,
-                    space.space2,
-                    space.space3,
-                ]
-            )
+    rows = (
+        (r.citation, r.author, r.outcomes, r.predictors, r.covariates, r.lags,
+         s.space1, s.space2, s.space3)
+        for r, s in zip(records, map(compute_space, records))
+    )
+    _write_table(path, _COUNT_COLUMNS + _SPACE_COLUMNS, rows)
 
 
 def save_pvalues(records: list[PValueRecord], path: str | Path) -> None:
     """Write p-value records as CSV; truncated values keep their ``<``."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_PVALUE_COLUMNS)
-        for record in records:
-            p_text = f"<{record.p}" if record.truncated else str(record.p)
-            writer.writerow(
-                [
-                    record.citation,
-                    record.author,
-                    record.endpoint,
-                    p_text,
-                    "true" if record.direction_negative else "false",
-                ]
-            )
+    rows = (
+        (r.citation, r.author, r.endpoint, f"<{r.p}" if r.truncated else r.p,
+         "true" if r.direction_negative else "false")
+        for r in records
+    )
+    _write_table(path, _PVALUE_COLUMNS, rows)
 
 
 def save_effects(records: list[EffectEstimate], path: str | Path) -> None:
     """Write effect estimates as CSV with an explicit level column."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_EFFECT_COLUMNS + ("level",))
-        for record in records:
-            writer.writerow(
-                [record.label, record.rr, record.ci_low, record.ci_high, record.level]
-            )
+    rows = ((r.label, r.rr, r.ci_low, r.ci_high, r.level) for r in records)
+    _write_table(path, _EFFECT_COLUMNS + ("level",), rows)
 
 
 def load_dataset(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, outputs,
 determinism, and argument validation."""
 
+import csv
 import os
 import shutil
 import subprocess
@@ -313,6 +314,34 @@ def test_simulate_mix_component_flag_overrides_config(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "regime_flags, unread",
+    [
+        (["--regime", "null"], ["--delta", "2"]),
+        (["--regime", "null"], ["--s-tests", "7"]),
+        (["--regime", "null"], ["--pi", "0.5"]),
+        (["--regime", "null"], ["--mix-component", "effect"]),
+        (["--regime", "effect", "--delta", "1"], ["--s-tests", "7"]),
+        (["--regime", "phack", "--s-tests", "7"], ["--delta", "2"]),
+        (["--regime", "phack"], ["--mix-component", "phack"]),
+        (["--regime", "mixture", "--pi", "0.5"], ["--delta", "2"]),
+        (["--regime", "mixture", "--pi", "0.5", "--mix-component", "effect", "--delta", "1"],
+         ["--s-tests", "7"]),
+    ],
+    ids=["null-delta", "null-s-tests", "null-pi", "null-mix-component", "effect-s-tests",
+         "phack-delta", "phack-mix-component", "mixture-phack-delta", "mixture-effect-s-tests"],
+)
+def test_simulate_rejects_flags_the_regime_never_reads(tmp_path, capsys, regime_flags, unread):
+    argv = ["simulate", *regime_flags, "--m", "10", "--seed", "1"]
+    assert run(argv, tmp_path) == 0
+    capsys.readouterr()
+    assert run(argv + unread, tmp_path, out="unread") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"regime {regime_flags[1]}" in err and unread[0] in err
+    assert not (tmp_path / "unread").exists()
+
+
+@pytest.mark.parametrize(
     "flags", [["--regime", "phack"], ["--regime", "mixture", "--pi", "0.4"]],
     ids=["phack", "mixture"],
 )
@@ -426,3 +455,46 @@ codes = [main(argv + ["--out", out + "/" + argv[0]]) for argv in runs]
 print(bare, codes, sorted(m for m in {heavy!r} if m in sys.modules), file=sys.stderr)
 """
     assert run_fresh(code).stderr == "[] [0, 0, 0, 0, 0] []\n"
+
+
+# ------------------------------------------------------------ CSV quoting
+
+# Free text in a cell: a comma, a quote and a line break.
+TRICKY = 'Smith, "J"\nJr'
+TRICKY_CELL = '"Smith, ""J""\nJr"'
+
+
+def read_table(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert all(len(row) == len(header) for row in rows), path
+    return rows
+
+
+def test_free_text_cells_are_quoted_and_read_back(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(
+        "citation,author,outcomes,predictors,covariates,lags\n"
+        f"1,{TRICKY_CELL},2,3,4,5\n2,Braga,4,1,6,4\n"
+    )
+    effects = tmp_path / "effects.csv"
+    effects.write_text(f"label,rr,ci_low,ci_high\n{TRICKY_CELL},1.05,1.01,1.09\nCO,1.048,1.026,1.070\n")
+    pvalues = tmp_path / "pvalues.csv"
+    pvalues.write_text(
+        "citation,author,endpoint,p,direction_negative\n"
+        + "".join(f"{i},{TRICKY_CELL},{TRICKY_CELL},0.0{i},false\n" for i in range(1, 4))
+    )
+    assert run(["spaces", "--in", str(counts)], tmp_path, out="spaces") == 0
+    assert run(["volcano", "--in", str(effects)], tmp_path, out="volcano") == 0
+    assert run(["pfromci", "--in", str(effects)], tmp_path, out="pfromci") == 0
+    assert run(["pplot", "--in", str(pvalues), "--endpoint", TRICKY], tmp_path, out="pplot") == 0
+
+    assert read_table(tmp_path / "spaces" / "spaces.csv")[0][1] == TRICKY
+    assert read_table(tmp_path / "volcano" / "volcano.csv")[0][0] == TRICKY
+    assert read_table(tmp_path / "pfromci" / "backcalc.csv")[0][0] == TRICKY
+    assert read_table(tmp_path / "pplot" / "diagnostics.csv")[0][0] == TRICKY
+
+    # spaces.csv is itself a valid counts input, and reading it back changes nothing
+    spaces_csv = tmp_path / "spaces" / "spaces.csv"
+    assert run(["spaces", "--in", str(spaces_csv)], tmp_path, out="again") == 0
+    assert (tmp_path / "again" / "spaces.csv").read_bytes() == spaces_csv.read_bytes()

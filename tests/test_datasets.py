@@ -21,6 +21,7 @@ from metaaudit import (
     save_effects,
     save_pvalues,
 )
+from metaaudit.cli import main
 
 
 def write(tmp_path, name, text):
@@ -227,6 +228,26 @@ def test_round_trip_truncated_record(tmp_path):
     text = (tmp_path / "p.csv").read_text()
     assert "<0.001" in text
     assert load_pvalues(tmp_path / "p.csv") == records
+
+
+def test_save_counts_writes_the_spaces_csv_of_report(tmp_path):
+    assert main(["report", "--fixtures", "--out", str(tmp_path / "report")]) == 0
+    save_counts(load_case_dataset().counts, tmp_path / "counts.csv")
+    saved = (tmp_path / "counts.csv").read_bytes()
+    assert saved == (tmp_path / "report" / "spaces.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "save, load, kind",
+    [(save_pvalues, load_pvalues, "pvalues"), (save_effects, load_effects, "effects")],
+    ids=["pvalues", "effects"],
+)
+def test_saved_tables_have_lf_line_ends_and_round_trip(tmp_path, save, load, kind):
+    records = getattr(load_case_dataset(), kind)
+    save(records, tmp_path / "t.csv")
+    data = (tmp_path / "t.csv").read_bytes()
+    assert b"\r" not in data and data.count(b"\n") == len(records) + 1
+    assert load(tmp_path / "t.csv") == records
 
 
 def test_saved_counts_pass_cross_check(tmp_path):

@@ -1,7 +1,8 @@
 """CSV ingestion and serialization of the three dataset shapes.
 
-Three file schemas, all plain comma-separated UTF-8 with a header row and
-optional ``#`` comment lines:
+Three file schemas, all plain comma-separated UTF-8 with a header row,
+optional comments (records whose first line starts with an unquoted ``#``)
+and no row longer than the header:
 
 * counts: ``citation,author,outcomes,predictors,covariates,lags`` with
   optional ``space1,space2,space3`` columns. Printed space columns are
@@ -29,7 +30,7 @@ import io
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .diagnostics import PValueRecord
 from .errors import ValidationError
@@ -82,17 +83,37 @@ class Dataset:
 
 
 def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """Yield (record number, cells) skipping comments and blanks.
+    """Yield (record number, cells) of the header and data rows.
 
-    Every record counts, comments and blanks included, as a spreadsheet counts
-    rows; a quoted cell that spans lines makes later records lag their lines.
+    A record whose first line starts with an unquoted ``#`` is a comment;
+    comments and blank records are skipped. Every record counts, comments and
+    blanks included, as a spreadsheet counts rows; a quoted cell that spans
+    lines makes later records lag their lines. A data row may be shorter than
+    the header but not longer.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+        record_lines: list[str] = []
+
+        def lines() -> Iterator[str]:
+            # csv.reader takes one line at a time, so this collects one record's lines.
+            for line in handle:
+                record_lines.append(line)
+                yield line
+
+        reader = csv.reader(lines())
+        width = None
         try:
             for lineno, row in enumerate(reader, start=1):
-                if not row or row[0].startswith("#"):
+                first_line = record_lines[0]
+                record_lines.clear()
+                if not row or first_line.startswith("#"):
                     continue
+                if width is None:
+                    width = len(row)
+                elif len(row) > width:
+                    raise ValidationError(
+                        f"{path}: row {lineno}: {len(row)} cells, but the header has {width}"
+                    )
                 yield lineno, [cell.strip() for cell in row]
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -152,17 +173,21 @@ def _parse_bool(name: str, raw: str) -> bool:
     raise ValidationError(f"field '{name}': not a boolean: {raw!r}")
 
 
-def _write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> str:
+def _write_table(path: str | Path, header: Iterable[str], rows: Iterable[Sequence]) -> str:
     """Write a header row and data rows as CSV; return the text written.
 
     Lines end in a bare line feed, and a cell is quoted only when it holds a
-    comma, a quote or a line break. Numbers are written by ``str``, which for
-    a float is its shortest round-tripping form.
+    comma, a quote or a line break, or when a row starts with ``#``, which
+    bare would make the row a comment. Numbers are written by ``str``, which
+    for a float is its shortest round-tripping form.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
+    quote_all = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        first = row[0]
+        (quote_all if isinstance(first, str) and first.startswith("#") else writer).writerow(row)
     text = buffer.getvalue()
     Path(path).write_text(text, encoding="utf-8", newline="")
     return text

@@ -29,6 +29,7 @@ from .statcore import (
     _require_finite,
     _require_int,
     _require_open_unit,
+    _require_trimmed,
     bonferroni_line,
     p_from_estimate,
 )
@@ -81,7 +82,8 @@ class PValueRecord:
 
     def __post_init__(self) -> None:
         _require_int("citation", self.citation)
-        if not self.endpoint:
+        _require_trimmed("author", self.author)
+        if not _require_trimmed("endpoint", self.endpoint):
             raise ValidationError("endpoint must be a non-empty string")
         p = _require_finite("p", self.p)
         if not 0.0 < p <= 1.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, SearchSpaceOverflowError, ValidationError
-from .statcore import _require_int, quantile_type6
+from .statcore import _require_int, _require_trimmed, quantile_type6
 
 __all__ = [
     "SearchSpace",
@@ -60,6 +60,7 @@ class StudyCounts:
         _require_int("citation", self.citation)
         if not self.author:
             raise ValidationError("author must be a non-empty string")
+        _require_trimmed("author", self.author)
         # The bounds are checked here, not by _require_int, to name the citation.
         for name in ("outcomes", "predictors", "lags"):
             value = _require_int(name, getattr(self, name))

@@ -47,6 +47,10 @@ _SEED_MAX = 2**64 - 1
 # Author label of simulated records and of the rows of a simulated p-value CSV.
 RECORD_AUTHOR = "sim"
 
+# shape_stats needs this many replicates (fewer are too noisy to summarize by a
+# mean) and p-values per replicate (for the two-segment fit).
+_MIN_REPLICATES, _MIN_M = 100, 6
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -61,9 +65,9 @@ class SimConfig:
     seed : int
         RNG seed in [0, 2**64).
     delta : float
-        Mean of the test statistic of effect studies. Required when any are
-        drawn (regime ``"effect"``, or a mixture of effect studies), since
-        0.0 draws the null; 0.0 otherwise.
+        Mean of the test statistic of effect studies. Required when
+        :meth:`reads` names it (regime ``"effect"``, or a mixture of effect
+        studies), since 0.0 draws the null; 0.0 otherwise.
     s_tests : int
         Candidate tests searched per study under phack; at least 1.
     pi_mix : float
@@ -93,14 +97,9 @@ class SimConfig:
             _require_int(name, getattr(self, name), minimum=1)
         if not 0 <= _require_int("seed", self.seed) <= _SEED_MAX:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
-        delta = self.delta
-        if delta is None:
-            draws_effects = self.regime == "effect" or (
-                self.regime == "mixture" and self.mix_component == "effect"
-            )
-            if draws_effects:
-                raise ValidationError(f"regime {self.regime!r} draws effect studies; give delta")
-            delta = 0.0
+        if self.delta is None and "delta" in self.reads():
+            raise ValidationError(f"regime {self.regime!r} draws effect studies; give delta")
+        delta = 0.0 if self.delta is None else self.delta
         object.__setattr__(self, "delta", _require_finite("delta", delta))
         pi_mix = _require_finite("pi_mix", self.pi_mix)
         if not 0.0 <= pi_mix <= 1.0:
@@ -111,6 +110,15 @@ class SimConfig:
                 f"mix_component must be one of {', '.join(MIX_COMPONENTS)}; "
                 f"got {self.mix_component!r}"
             )
+
+    def reads(self) -> frozenset[str]:
+        """Names of the fields the draws of this run read; the others go unused."""
+        component = "delta" if self.mix_component == "effect" else "s_tests"
+        specific = {
+            "null": (), "effect": ("delta",), "phack": ("s_tests",),
+            "mixture": ("pi_mix", "mix_component", component),
+        }[self.regime]
+        return frozenset(("regime", "m", "seed", "replicates", *specific))
 
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
@@ -203,16 +211,15 @@ def shape_stats(p: np.ndarray) -> ShapeStats:
     uniformity and the two-segment/one-line SSE ratio, equal to what
     ``build_pplot``, ``uniformity_ks`` and ``bilinearity_fit`` give for the
     row; the three are then averaged over rows. Needs p in (0, 1], at least
-    100 rows (fewer are too noisy to summarize by a mean) and ``m >= 6`` for
-    the two-segment fit.
+    100 rows and ``m >= 6``.
     """
     import numpy as np
 
     replicates, m = p.shape
-    if replicates < 100:
-        raise InsufficientDataError(f"shape_stats needs at least 100 replicates, got {replicates}")
-    if m < 6:
-        raise InsufficientDataError(f"shape_stats needs m >= 6, got m={m}")
+    if replicates < _MIN_REPLICATES or m < _MIN_M:
+        raise InsufficientDataError(
+            f"shape statistics need replicates >= {_MIN_REPLICATES} and m >= {_MIN_M}"
+        )
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise ValidationError("shape_stats needs p-values in (0, 1]")
     p = np.sort(p, axis=1)

@@ -60,6 +60,13 @@ def _require_open_unit(name: str, value: float) -> float:
     return value
 
 
+def _require_trimmed(name: str, value: str) -> str:
+    # The loaders strip every cell, so outer whitespace would not survive a save and load.
+    if not isinstance(value, str) or value != value.strip():
+        raise ValidationError(f"{name} must be a string without outer whitespace, got {value!r}")
+    return value
+
+
 def _require_int(name: str, value: int, minimum: int | None = None) -> int:
     # bool is an int subclass, but True is never a count or an identifier.
     if not isinstance(value, int) or isinstance(value, bool):
@@ -214,6 +221,7 @@ class EffectEstimate:
     level: float = 0.95
 
     def __post_init__(self) -> None:
+        _require_trimmed("label", self.label)
         values = {}
         for name in ("rr", "ci_low", "ci_high"):
             value = values[name] = _require_finite(name, getattr(self, name))

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface: exit codes, outputs,
 determinism, and argument validation."""
 
+import argparse
 import csv
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 
 import metaaudit
 from metaaudit import case_counts_path, case_effects_path, case_pvalues_path, simulate
-from metaaudit.cli import main
+from metaaudit.cli import _SETTINGS, _build_parser, main
 
 
 def run(args, tmp_path, out="o"):
@@ -90,8 +92,9 @@ def test_pplot_invalid_row_names_location(tmp_path, capsys):
         ("pplot", "citation,author,endpoint,p,direction_negative", "1,a,x,0.5,maybe"),
         ("pplot", "citation,author,endpoint,p,direction_negative", "one,a,x,0.5,false"),
         ("pfromci", "label,rr,ci_low,ci_high", "x,abc,1.0,2.0"),
+        ("pplot", "citation,author,endpoint,p,direction_negative", "1,a,x,0.5,false,EXTRA,MORE"),
     ],
-    ids=["direction_negative", "citation", "rr"],
+    ids=["direction_negative", "citation", "rr", "extra-cells"],
 )
 def test_bad_field_names_location_once(tmp_path, capsys, command, header, row):
     bad = tmp_path / "bad.csv"
@@ -285,6 +288,77 @@ def test_simulate_non_utf8_config_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        ("regime=null\nm=abc\nseed=1\n", "key 'm': not an integer: 'abc'"),
+        ("regime=effect\nm=5\nseed=1\ndelta=x1\n", "key 'delta': not a number: 'x1'"),
+        ("regime=mixture\nm=5\nseed=1\npi=\n", "key 'pi': not a number: ''"),
+        ("regime=null\nm=5\nseed=1\nreplicates=2.5\n",
+         "key 'replicates': not an integer: '2.5'"),
+        # a required setting is checked before any later key is read
+        ("m=5\nseed=1\n", "simulate needs a regime (--regime or config file)"),
+        ("m=5\nseed=1\ndelta=x\n", "simulate needs a regime (--regime or config file)"),
+        ("regime=null\nseed=1\n", "simulate needs m (--m or config file)"),
+        ("regime=null\nseed=abc\n", "simulate needs m (--m or config file)"),
+        ("regime=null\nm=5\n", "simulate needs a seed (--seed or config file)"),
+        ("regime=null\nm=5\ndelta=x\ns_tests=y\n",
+         "simulate needs a seed (--seed or config file)"),
+        ("regime=null\nm=abc\n", "key 'm': not an integer: 'abc'"),
+        ("regime=bogus\nm=5\nseed=1\ns_tests=y\n", "key 's_tests': not an integer: 'y'"),
+        ("regime=bogus\nm=5\nseed=1\n", "regime must be one of"),
+        ("regime=mixture\nmix_component=bogus\nm=5\nseed=1\n", "mix_component must be one of"),
+    ],
+    ids=["int", "float", "empty-float", "float-for-int", "no-regime", "no-regime-bad-delta",
+         "no-m", "no-m-bad-seed", "no-seed", "no-seed-bad-delta", "bad-m-no-seed",
+         "bad-s-tests-bad-regime", "bad-regime", "bad-mix-component"],
+)
+def test_simulate_config_errors_in_key_order(tmp_path, capsys, config, message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(config)
+    assert run(["simulate", "--in", str(cfg)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    expected = f"{cfg}: {message}" if message.startswith("key ") else message
+    assert err.startswith(f"error: {expected}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_flag_overrides_a_bad_config_value(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("regime=null\nm=abc\nseed=1\n")
+    assert run(["simulate", "--in", str(cfg), "--m", "5"], tmp_path) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith(
+        "regime null: wrote 1 replicate(s) of m=5 p-values "
+        "(shape statistics need replicates >= 100 and m >= 6)\n"
+    )
+    lines = (tmp_path / "o" / "pvalues.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5
+
+
+@pytest.mark.parametrize(
+    "given, defaults",
+    [
+        (["--regime", "null"], ["--replicates", "1"]),
+        (["--regime", "effect", "--delta", "0.5"], ["--replicates", "1"]),
+        (["--regime", "phack"], ["--s-tests", "1", "--replicates", "1"]),
+        (["--regime", "mixture"],
+         ["--pi", "0", "--mix-component", "phack", "--s-tests", "1", "--replicates", "1"]),
+    ],
+    ids=["null", "effect", "phack", "mixture"],
+)
+def test_simulate_defaults_equal_explicit_values(tmp_path, capsys, given, defaults):
+    argv = ["simulate", *given, "--m", "7", "--seed", "3"]
+    assert run(argv, tmp_path, out="implicit") == 0
+    implicit = capsys.readouterr().out.replace("implicit", "<out>")
+    assert run(argv + defaults, tmp_path, out="explicit") == 0
+    explicit = capsys.readouterr().out.replace("explicit", "<out>")
+    assert implicit == explicit
+    assert read_all(tmp_path / "implicit") == read_all(tmp_path / "explicit")
+
+
+@pytest.mark.parametrize(
     "flags, config",
     [
         (["--regime", "effect"], ""),
@@ -339,6 +413,29 @@ def test_simulate_rejects_flags_the_regime_never_reads(tmp_path, capsys, regime_
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"regime {regime_flags[1]}" in err and unread[0] in err
     assert not (tmp_path / "unread").exists()
+
+
+def test_simulate_settings_agree_with_flags_and_sim_config():
+    # a setting added to the table, the flags or SimConfig but missed elsewhere fails here
+    parser = _build_parser()
+    [subcommands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        action.dest: action for action in subcommands.choices["simulate"]._actions
+        if action.dest not in ("help", "out", "infile")
+    }
+    fields = {field.name: field for field in dataclasses.fields(simulate.SimConfig)}
+    assert set(_SETTINGS) == set(flags)
+    assert {field for field, _, _ in _SETTINGS.values()} == set(fields)
+    for key, (field, parse, needs) in _SETTINGS.items():
+        assert flags[key].option_strings == ["--" + key.replace("_", "-")]
+        assert flags[key].default is None
+        assert flags[key].type in (parse, None)
+        assert (needs is not None) == (fields[field].default is dataclasses.MISSING)
+    for regime in simulate.REGIMES:
+        for component in simulate.MIX_COMPONENTS:
+            cfg = simulate.SimConfig(regime=regime, m=5, seed=1, delta=1.0,
+                                     mix_component=component)
+            assert cfg.reads() <= set(fields)
 
 
 @pytest.mark.parametrize(

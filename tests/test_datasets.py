@@ -1,10 +1,13 @@
 """Tests for CSV loading, validation diagnostics, serialization round
 trips, and the bundled case-study fixtures."""
 
+import csv
+
 import pytest
 
 from metaaudit import (
     Dataset,
+    EffectEstimate,
     PValueRecord,
     SearchSpaceOverflowError,
     ValidationError,
@@ -128,6 +131,25 @@ def test_load_counts_comments_skipped(tmp_path):
     assert len(load_counts(path)) == 1
 
 
+def test_comment_is_a_record_starting_with_a_bare_hash(tmp_path):
+    rows = ['"#1 lag",1.1,1.0,1.2', "#2 lag,1.1,1.0,1.2", '# note,"spans\nlines"', "", "c,?,1,1"]
+    path = write(tmp_path, "e.csv", "\n".join(["label,rr,ci_low,ci_high", *rows]) + "\n")
+    # comment and blank records count: the bad row is the sixth record
+    with pytest.raises(ValidationError, match="row 6: field 'rr'"):
+        load_effects(path)
+    path = write(tmp_path, "e.csv", "\n".join(["label,rr,ci_low,ci_high", *rows[:4]]) + "\n")
+    assert [record.label for record in load_effects(path)] == ["#1 lag"]
+
+
+def test_row_longer_than_header_is_rejected(tmp_path):
+    path = write(tmp_path, "p.csv", PVALUES_HEADER + "1,a,ozone,0.5,false,EXTRA,MORE\n")
+    with pytest.raises(ValidationError, match=r"p\.csv: row 2: 7 cells, but the header has 5"):
+        load_pvalues(path)
+    # a short row is legal: its missing cells are blank
+    path = write(tmp_path, "e.csv", "label,rr,ci_low,ci_high,level\na,1.1,1.0,1.2\n")
+    assert load_effects(path)[0].level == 0.95
+
+
 # --------------------------------------------------------- load_pvalues
 
 
@@ -248,6 +270,16 @@ def test_saved_tables_have_lf_line_ends_and_round_trip(tmp_path, save, load, kin
     data = (tmp_path / "t.csv").read_bytes()
     assert b"\r" not in data and data.count(b"\n") == len(records) + 1
     assert load(tmp_path / "t.csv") == records
+
+
+@pytest.mark.parametrize("label", ["#1 lag", "# note, with a comma", "a\n#b"])
+def test_label_starting_with_hash_round_trips(tmp_path, label):
+    records = [EffectEstimate(label, 1.1, 1.0, 1.2), EffectEstimate("CO", 1.05, 1.01, 1.09)]
+    save_effects(records, tmp_path / "e.csv")
+    assert load_effects(tmp_path / "e.csv") == records
+    assert main(["volcano", "--in", str(tmp_path / "e.csv"), "--out", str(tmp_path / "v")]) == 0
+    with open(tmp_path / "v" / "volcano.csv", newline="", encoding="utf-8") as handle:
+        assert [row[0] for row in csv.reader(handle)] == ["label", label, "CO"]
 
 
 def test_saved_counts_pass_cross_check(tmp_path):

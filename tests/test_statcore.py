@@ -356,3 +356,21 @@ def test_non_numbers_are_validation_errors(build):
 def test_integer_fields_reject_bool_and_str(name, build, bad):
     with pytest.raises(ValidationError, match=f"{name} must be an integer"):
         build(bad)
+
+
+@pytest.mark.parametrize("bad", [" Smith", "Smith ", "Smith\n"])
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("author", lambda v: StudyCounts(1, v, 1, 1, 0, 1)),
+        ("author", lambda v: PValueRecord(citation=1, author=v, endpoint="x", p=0.5)),
+        ("endpoint", lambda v: PValueRecord(citation=1, author="a", endpoint=v, p=0.5)),
+        ("label", lambda v: EffectEstimate(v, 1.2, 1.1, 1.3)),
+    ],
+    ids=["counts-author", "pvalue-author", "pvalue-endpoint", "effect-label"],
+)
+def test_free_text_fields_reject_outer_whitespace(name, build, bad):
+    # the loaders strip every cell, so such a value could not be saved and read back
+    with pytest.raises(ValidationError, match=f"{name} must be a string without outer whitespace"):
+        build(bad)
+    build("Smith Jr")

@@ -12,11 +12,11 @@ one-segment fit ratio.  One example plot per regime is written as SVG.
 from pathlib import Path
 
 from metaaudit import (
+    PValuePlotSeries,
     SimConfig,
-    build_pplot,
+    draw_pvalues,
     render_pplot_svg,
-    shape_check,
-    simulate_pvalues,
+    shape_stats,
 )
 
 out_dir = Path(__file__).parent / "out"
@@ -34,12 +34,12 @@ configs = {
 
 print(f"{'regime':<8} {'frac<=.05':>9} {'mean KS D':>9} {'bilinearity':>11}")
 for name, cfg in configs.items():
-    stats = shape_check(cfg)
+    p = draw_pvalues(cfg)
+    stats = shape_stats(p)
     print(f"{name:<8} {stats.mean_frac_le_005:>9.3f} {stats.mean_ks_d:>9.3f} "
           f"{stats.mean_bilinearity_ratio:>11.3f}")
     # Render the first replicate as a concrete example of the shape.
-    records = simulate_pvalues(cfg)[0]
-    series = build_pplot(records, endpoint=name)
+    series = PValuePlotSeries(endpoint=name, p=p[0])
     (out_dir / f"sim_{name}.svg").write_text(render_pplot_svg(series),
                                              encoding="utf-8")
 

@@ -156,7 +156,7 @@ def _write_pplot(
     # needs quoting, and csv.writer took about 1.5 times as long on 79,600
     # (rank, p) rows (Python 3.11, 2-vCPU x86-64 VM). A generator, so that no
     # list of rows stays alive while the SVG renders.
-    rows = (f"{rank},{p!r}" for rank, p in series.points)
+    rows = (f"{rank},{p!r}" for rank, p in enumerate(series.p, start=1))
     _write(out / f"pplot_{series.endpoint}.csv", "\n".join(["rank,p", *rows]) + "\n")
     _write(out / f"pplot_{series.endpoint}.svg", svgplot.render_pplot_svg(series, options))
 
@@ -217,34 +217,21 @@ def cmd_pool(args: argparse.Namespace) -> int:
         result = pooling.pool_random_dl(estimates)
     out = _out_dir(args, "pool")
 
-    columns = [
-        "method",
-        "k",
-        "pooled_log",
-        "pooled_se",
-        "ci_low",
-        "ci_high",
-        "pooled_rr",
-        "rr_ci_low",
-        "rr_ci_high",
-        "q_stat",
-        "tau2",
-        "i2_percent",
-    ]
-    values = [
-        result.method,
-        result.k,
-        result.pooled_log,
-        result.pooled_se,
-        result.ci_low,
-        result.ci_high,
-        math.exp(result.pooled_log),
-        math.exp(result.ci_low),
-        math.exp(result.ci_high),
-        result.q_stat,
-        result.tau2,
-        result.i2_percent,
-    ]
+    cells = (
+        ("method", result.method),
+        ("k", result.k),
+        ("pooled_log", result.pooled_log),
+        ("pooled_se", result.pooled_se),
+        ("ci_low", result.ci_low),
+        ("ci_high", result.ci_high),
+        ("pooled_rr", math.exp(result.pooled_log)),
+        ("rr_ci_low", math.exp(result.ci_low)),
+        ("rr_ci_high", math.exp(result.ci_high)),
+        ("q_stat", result.q_stat),
+        ("tau2", result.tau2),
+        ("i2_percent", result.i2_percent),
+    )
+    columns, values = zip(*cells)
     csv_text = _write_csv(out / "pooled.csv", columns, [values])
 
     print(csv_text, end="")
@@ -308,6 +295,7 @@ def _read_config(path: Path) -> dict[str, str]:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -318,6 +306,11 @@ def _read_config(path: Path) -> dict[str, str]:
         key = key.strip()
         if key not in _SETTINGS:
             raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ValidationError(
+                f"{path}: line {lineno}: key {key!r} repeats line {key_lines[key]}"
+            )
+        key_lines[key] = lineno
         values[key] = value.strip()
     return values
 

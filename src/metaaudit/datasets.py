@@ -88,8 +88,8 @@ def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     A record whose first line starts with an unquoted ``#`` is a comment;
     comments and blank records are skipped. Every record counts, comments and
     blanks included, as a spreadsheet counts rows; a quoted cell that spans
-    lines makes later records lag their lines. A data row may be shorter than
-    the header but not longer.
+    lines makes later records lag their lines. A data row longer than the
+    header is an error; a shorter one is padded with blank cells to its width.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         record_lines: list[str] = []
@@ -114,7 +114,7 @@ def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
                     raise ValidationError(
                         f"{path}: row {lineno}: {len(row)} cells, but the header has {width}"
                     )
-                yield lineno, [cell.strip() for cell in row]
+                yield lineno, [cell.strip() for cell in row] + [""] * (width - len(row))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
@@ -139,11 +139,6 @@ def _open_table(
     if unknown:
         raise ValidationError(f"{path}: unexpected column(s) {', '.join(unknown)}")
     return path, columns, rows
-
-
-def _cell(row: list[str], columns: dict[str, int], name: str) -> str:
-    index = columns[name]
-    return row[index] if index < len(row) else ""
 
 
 def _parse_int(name: str, raw: str) -> int:
@@ -223,15 +218,15 @@ def load_counts(path: str | Path) -> list[StudyCounts]:
     for lineno, row in rows:
         try:
             values = {
-                name: _parse_int(name, _cell(row, columns, name))
+                name: _parse_int(name, row[columns[name]])
                 for name in ("citation", "outcomes", "predictors", "covariates", "lags")
             }
-            record = StudyCounts(author=_cell(row, columns, "author"), **values)
+            record = StudyCounts(author=row[columns["author"]], **values)
             space = compute_space(record)
             for name, computed in zip(
                 _SPACE_COLUMNS, (space.space1, space.space2, space.space3)
             ):
-                raw = _cell(row, columns, name) if name in columns else ""
+                raw = row[columns[name]] if name in columns else ""
                 printed = _parse_int(name, raw) if raw else computed
                 if printed != computed:
                     raise ValidationError(
@@ -274,7 +269,7 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
     records: list[PValueRecord] = []
     seen: set[tuple[int, str]] = set()
     for lineno, row in rows:
-        raw_p = _cell(row, columns, "p")
+        raw_p = row[columns["p"]]
         if not raw_p:
             continue
         try:
@@ -282,12 +277,12 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
             # p, citation, direction_negative: the first bad field is the one reported.
             record = PValueRecord(
                 p=_parse_float("p", raw_p[1:] if truncated else raw_p),
-                citation=_parse_int("citation", _cell(row, columns, "citation")),
+                citation=_parse_int("citation", row[columns["citation"]]),
                 direction_negative=_parse_bool(
-                    "direction_negative", _cell(row, columns, "direction_negative")
+                    "direction_negative", row[columns["direction_negative"]]
                 ),
-                author=_cell(row, columns, "author"),
-                endpoint=_cell(row, columns, "endpoint"),
+                author=row[columns["author"]],
+                endpoint=row[columns["endpoint"]],
                 truncated=truncated,
             )
             key = (record.citation, record.endpoint)
@@ -326,14 +321,14 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
     records: list[EffectEstimate] = []
     for lineno, row in rows:
         try:
-            raw_level = _cell(row, columns, "level") if "level" in columns else ""
+            raw_level = row[columns["level"]] if "level" in columns else ""
             level = _parse_float("level", raw_level) if raw_level else 0.95
             records.append(
                 EffectEstimate(
-                    label=_cell(row, columns, "label"),
-                    rr=_parse_float("rr", _cell(row, columns, "rr")),
-                    ci_low=_parse_float("ci_low", _cell(row, columns, "ci_low")),
-                    ci_high=_parse_float("ci_high", _cell(row, columns, "ci_high")),
+                    label=row[columns["label"]],
+                    rr=_parse_float("rr", row[columns["rr"]]),
+                    ci_low=_parse_float("ci_low", row[columns["ci_low"]]),
+                    ci_high=_parse_float("ci_high", row[columns["ci_high"]]),
                     level=level,
                 )
             )

@@ -18,6 +18,7 @@ back-calculation in :mod:`metaaudit.statcore`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -97,27 +98,28 @@ class PValueRecord:
 class PValuePlotSeries:
     """Rank-ordered p-values for one endpoint.
 
-    ``points`` holds ``(rank, p)`` pairs with ranks 1..m and p sorted
-    ascending; ``frac_le_alpha`` is the fraction of p-values at or below
-    ``alpha``.
+    ``p`` is stored sorted ascending, so ``p[i]`` has rank ``i + 1``;
+    ``frac_le_alpha`` is the fraction of p-values at or below ``alpha``.
+    An empty ``p`` raises :class:`EmptySeriesError`.
     """
 
     endpoint: str
-    points: tuple[tuple[int, float], ...]
-    m: int
-    frac_le_alpha: float
-    alpha: float
+    p: tuple[float, ...]
+    alpha: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.m != len(self.points):
-            raise ValidationError(
-                f"m={self.m} does not match the {len(self.points)} points supplied"
-            )
-        for index, (rank, p) in enumerate(self.points, start=1):
-            if rank != index:
-                raise ValidationError(f"rank {rank} at position {index}; expected {index}")
-            if index > 1 and p < self.points[index - 2][1]:
-                raise ValidationError("points must be sorted non-decreasing in p")
+        object.__setattr__(self, "alpha", _require_open_unit("alpha", self.alpha))
+        object.__setattr__(self, "p", tuple(sorted(map(float, self.p))))
+        if not self.p:
+            raise EmptySeriesError(f"no p-value records for endpoint {self.endpoint!r}")
+
+    @property
+    def m(self) -> int:
+        return len(self.p)
+
+    @property
+    def frac_le_alpha(self) -> float:
+        return bisect.bisect_right(self.p, self.alpha) / self.m
 
 
 class KsResult(NamedTuple):
@@ -156,9 +158,8 @@ def build_pplot(
 ) -> PValuePlotSeries:
     """Rank-ordered p-value series for one endpoint.
 
-    Filters ``records`` to the endpoint, sorts ascending in p (ties broken
-    by citation number, so the order is reproducible), and assigns ranks
-    1..m.
+    Filters ``records`` to the endpoint; the series sorts them ascending in
+    p, so rank i is the i-th smallest.
 
     Parameters
     ----------
@@ -177,17 +178,7 @@ def build_pplot(
     EmptySeriesError
         If no record matches the endpoint.
     """
-    alpha = _require_open_unit("alpha", alpha)
-    matching = [r for r in records if r.endpoint == endpoint]
-    if not matching:
-        raise EmptySeriesError(f"no p-value records for endpoint {endpoint!r}")
-    matching.sort(key=lambda r: (r.p, r.citation))
-    points = tuple((rank, r.p) for rank, r in enumerate(matching, start=1))
-    m = len(points)
-    frac = sum(1 for _, p in points if p <= alpha) / m
-    return PValuePlotSeries(
-        endpoint=endpoint, points=points, m=m, frac_le_alpha=frac, alpha=alpha
-    )
+    return PValuePlotSeries(endpoint, [r.p for r in records if r.endpoint == endpoint], alpha)
 
 
 def uniformity_ks(series: PValuePlotSeries) -> KsResult:
@@ -243,7 +234,7 @@ def _as_row(series: PValuePlotSeries) -> np.ndarray:
     """The series' sorted p-values as a one-row array for the array kernels."""
     import numpy as np
 
-    return np.array([[p for _, p in series.points]])
+    return np.array([series.p])
 
 
 def _ks_d(sorted_p: np.ndarray) -> np.ndarray:

@@ -167,8 +167,6 @@ def render_pplot_svg(series: PValuePlotSeries, options: PlotOptions | None = Non
         Complete SVG document.
     """
     options = options or PlotOptions()
-    if series.m < 1:
-        raise ValidationError("cannot render an empty series")
     frame = _Frame(options, x_range=(0.0, float(series.m)), y_range=(0.0, 1.0))
 
     tick_segments: list[str] = []
@@ -194,7 +192,7 @@ def render_pplot_svg(series: PValuePlotSeries, options: PlotOptions | None = Non
         f'stroke="#888888" stroke-width="1.5" stroke-dasharray="6 4"/>'
     )
     parts.append(frame.h_ref_line(series.alpha, "#000000"))
-    for rank, p in series.points:
+    for rank, p in enumerate(series.p, start=1):
         parts.append(
             f'<circle cx="{_fmt(frame.px(float(rank)))}" cy="{_fmt(frame.py(p))}" '
             f'r="{_fmt(options.point_radius)}" fill="#336699"/>'

@@ -277,6 +277,15 @@ def test_simulate_bad_config_key(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
+def test_simulate_repeated_config_key(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("regime=null\nm=5\nseed=4\n# m again\n m = 7\n")
+    code = run(["simulate", "--in", str(cfg)], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 5: key 'm' repeats line 2\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_non_utf8_config_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_bytes(b"regime=null\nm=6\xff\nseed=4\n")

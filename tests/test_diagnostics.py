@@ -13,6 +13,7 @@ from metaaudit import (
     EffectEstimate,
     EmptySeriesError,
     InsufficientDataError,
+    PValuePlotSeries,
     PValueRecord,
     ValidationError,
     bilinearity_fit,
@@ -62,14 +63,14 @@ def test_pvalue_record_validation():
 def test_build_pplot_case_ozone(case_pvalues):
     series = build_pplot(case_pvalues, "ozone")
     assert series.m == 19
-    assert [p for _, p in series.points[:3]] == [0.001, 0.001, 0.001]
-    assert sum(1 for _, p in series.points if p <= 0.05) == 9
+    assert series.p[:3] == (0.001, 0.001, 0.001)
+    assert sum(1 for p in series.p if p <= 0.05) == 9
     assert series.frac_le_alpha == pytest.approx(9 / 19, rel=1e-15)
 
 
 def test_build_pplot_single_record():
     series = build_pplot(records_from([0.5]), "e")
-    assert series.points == ((1, 0.5),)
+    assert series.p == (0.5,)
     assert series.frac_le_alpha == 0.0
 
 
@@ -77,7 +78,6 @@ def test_build_pplot_uniform_grid():
     series = build_pplot(records_from([i / 20 for i in range(1, 21)]), "e")
     assert series.m == 20
     assert series.frac_le_alpha == pytest.approx(0.05, rel=1e-15)
-    assert [rank for rank, _ in series.points] == list(range(1, 21))
 
 
 def test_build_pplot_no_match_is_error(case_pvalues):
@@ -91,8 +91,8 @@ def test_build_pplot_is_permutation_and_order_free():
     shuffled = records[:]
     random.Random(0).shuffle(shuffled)
     series = build_pplot(records, "e")
-    assert sorted(p for _, p in series.points) == sorted(ps)
-    assert build_pplot(shuffled, "e").points == series.points
+    assert series.p == tuple(sorted(ps))
+    assert build_pplot(shuffled, "e").p == series.p
 
 
 def test_build_pplot_tie_break_by_citation():
@@ -102,13 +102,25 @@ def test_build_pplot_tie_break_by_citation():
         PValueRecord(citation=5, author="c", endpoint="e", p=0.1),
     ]
     series = build_pplot(records, "e")
-    assert [p for _, p in series.points] == [0.1, 0.3, 0.3]
-    assert [rank for rank, _ in series.points] == [1, 2, 3]
+    assert series.p == (0.1, 0.3, 0.3)
 
 
 def test_build_pplot_rejects_bad_alpha(case_pvalues):
     with pytest.raises(ValidationError):
         build_pplot(case_pvalues, "ozone", alpha=0.0)
+
+
+def test_series_sorts_coerces_and_validates_p():
+    series = PValuePlotSeries("e", (0.3, 0.1, 0.2))
+    assert series.p == (0.1, 0.2, 0.3)
+    assert (series.m, series.alpha, series.frac_le_alpha) == (3, 0.05, 0.0)
+    from_row = PValuePlotSeries("e", np.array([0.5, 0.1]))
+    assert [type(p) for p in from_row.p] == [float, float]
+    assert repr(from_row.p) == "(0.1, 0.5)"
+    with pytest.raises(EmptySeriesError, match="no p-value records for endpoint 'e'"):
+        PValuePlotSeries("e", ())
+    with pytest.raises(ValidationError):
+        PValuePlotSeries("e", (0.5,), alpha=0.0)
 
 
 # --------------------------------------------------------- uniformity_ks

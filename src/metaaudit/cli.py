@@ -162,8 +162,10 @@ def _write_pplot(
 
 
 def cmd_pplot(args: argparse.Namespace) -> int:
-    records = datasets.load_pvalues(args.infile)
-    series = diagnostics.build_pplot(records, endpoint=args.endpoint, alpha=args.alpha)
+    # Every row is validated; only the plotted endpoint's p-values are kept.
+    p = [p for _, _, endpoint, p, _, _ in datasets._pvalue_rows(args.infile)
+         if endpoint == args.endpoint]
+    series = diagnostics.PValuePlotSeries(args.endpoint, p, args.alpha)
     options = svgplot.PlotOptions(comment=f"p-value plot, endpoint {series.endpoint}")
     out = _out_dir(args, "pplot")
     _write_pplot(out, series, options)
@@ -335,7 +337,12 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
                 raise ValidationError(f"{args.infile}: key '{key}': not {kind}: {raw!r}") from None
         elif needs:
             raise ValidationError(f"simulate needs {needs} (--{key} or config file)")
-    cfg = simulate.SimConfig(**given)
+    try:
+        cfg = simulate.SimConfig(**given)
+    except ValidationError as exc:  # it names a field; name the key the user typed
+        field, _, rest = str(exc).partition(" ")
+        key = next((k for k, (f, _, _) in _SETTINGS.items() if f == field), field)
+        raise ValidationError(f"{key} {rest}") from None
     for key, (field, _, _) in _SETTINGS.items():
         if getattr(args, key) is not None and field not in cfg.reads():
             regime = cfg.regime
@@ -355,12 +362,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # regime name from REGIMES, so none needs quoting, and csv.writer took about
     # 1.7 times as long on the 300,000 rows of a 10,000-replicate run (Python
     # 3.11, 2-vCPU x86-64 VM).
+    middles = [f",{study},{simulate.RECORD_AUTHOR},{cfg.regime}," for study in range(1, cfg.m + 1)]
     with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write("replicate,citation,author,endpoint,p\n")
         for index, row in enumerate(p):
+            prefix = str(index)
             handle.write("".join([
-                f"{index},{study},{simulate.RECORD_AUTHOR},{cfg.regime},{value!r}\n"
-                for study, value in enumerate(row.tolist(), start=1)
+                prefix + middle + value + "\n"
+                for middle, value in zip(middles, map(repr, row.tolist()))
             ]))
     print(f"# wrote {path}")
 

@@ -32,7 +32,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .diagnostics import PValueRecord
+from .diagnostics import PValueRecord, _check_reported
 from .errors import ValidationError
 from .searchspace import StudyCounts, compute_space
 from .statcore import EffectEstimate
@@ -114,7 +114,7 @@ def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
                     raise ValidationError(
                         f"{path}: row {lineno}: {len(row)} cells, but the header has {width}"
                     )
-                yield lineno, [cell.strip() for cell in row] + [""] * (width - len(row))
+                yield lineno, [*map(str.strip, row), *("",) * (width - len(row))]
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
@@ -245,6 +245,35 @@ def load_counts(path: str | Path) -> list[StudyCounts]:
 _PVALUE_COLUMNS = ("citation", "author", "endpoint", "p", "direction_negative")
 
 
+def _pvalue_rows(path: str | Path) -> Iterator[tuple[int, str, str, float, bool, bool]]:
+    """Yield the ``PValueRecord`` fields of each row with a p cell, every row validated.
+
+    The first bad field raises with its row, checked in the order p, citation,
+    direction_negative, ``_check_reported``, unique (citation, endpoint).
+    """
+    path, columns, rows = _open_table(path, _PVALUE_COLUMNS, ())
+    i_citation, i_author, i_endpoint, i_p, i_negative = [columns[n] for n in _PVALUE_COLUMNS]
+    seen: set[tuple[int, str]] = set()
+    for lineno, row in rows:
+        raw_p = row[i_p]
+        if not raw_p:
+            continue
+        try:
+            truncated = raw_p.startswith("<")
+            p = _parse_float("p", raw_p[1:] if truncated else raw_p)
+            citation = _parse_int("citation", row[i_citation])
+            negative = _parse_bool("direction_negative", row[i_negative])
+            endpoint = row[i_endpoint]
+            p = _check_reported(citation, endpoint, p)
+            key = (citation, endpoint)
+            if key in seen:
+                raise ValidationError(f"duplicate (citation, endpoint) = {key}")
+        except ValidationError as exc:
+            raise type(exc)(f"{path}: row {lineno}: {exc}") from None
+        seen.add(key)
+        yield citation, row[i_author], endpoint, p, negative, truncated
+
+
 def load_pvalues(path: str | Path) -> list[PValueRecord]:
     """Load reported p-values from CSV.
 
@@ -265,34 +294,7 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
     ValidationError
         Malformed rows, p outside (0, 1], or duplicate (citation, endpoint).
     """
-    path, columns, rows = _open_table(path, _PVALUE_COLUMNS, ())
-    records: list[PValueRecord] = []
-    seen: set[tuple[int, str]] = set()
-    for lineno, row in rows:
-        raw_p = row[columns["p"]]
-        if not raw_p:
-            continue
-        try:
-            truncated = raw_p.startswith("<")
-            # p, citation, direction_negative: the first bad field is the one reported.
-            record = PValueRecord(
-                p=_parse_float("p", raw_p[1:] if truncated else raw_p),
-                citation=_parse_int("citation", row[columns["citation"]]),
-                direction_negative=_parse_bool(
-                    "direction_negative", row[columns["direction_negative"]]
-                ),
-                author=row[columns["author"]],
-                endpoint=row[columns["endpoint"]],
-                truncated=truncated,
-            )
-            key = (record.citation, record.endpoint)
-            if key in seen:
-                raise ValidationError(f"duplicate (citation, endpoint) = {key}")
-        except ValidationError as exc:
-            raise type(exc)(f"{path}: row {lineno}: {exc}") from None
-        seen.add(key)
-        records.append(record)
-    return records
+    return [PValueRecord(*row) for row in _pvalue_rows(path)]
 
 
 _EFFECT_COLUMNS = ("label", "rr", "ci_low", "ci_high")

@@ -84,14 +84,18 @@ class PValueRecord:
     def __post_init__(self) -> None:
         _require_int("citation", self.citation)
         _require_trimmed("author", self.author)
-        if not _require_trimmed("endpoint", self.endpoint):
-            raise ValidationError("endpoint must be a non-empty string")
-        p = _require_finite("p", self.p)
-        if not 0.0 < p <= 1.0:
-            raise ValidationError(
-                f"p must lie in (0, 1], got {self.p!r} (citation {self.citation})"
-            )
-        object.__setattr__(self, "p", p)
+        _require_trimmed("endpoint", self.endpoint)
+        object.__setattr__(self, "p", _check_reported(self.citation, self.endpoint, self.p))
+
+
+def _check_reported(citation: int, endpoint: str, p: float) -> float:
+    """Check a reported p-value's endpoint (not empty) and p (in (0, 1]); return p."""
+    if not endpoint:
+        raise ValidationError("endpoint must be a non-empty string")
+    value = _require_finite("p", p)
+    if not 0.0 < value <= 1.0:
+        raise ValidationError(f"p must lie in (0, 1], got {p!r} (citation {citation})")
+    return value
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,8 @@ class PValuePlotSeries:
 
     ``p`` is stored sorted ascending, so ``p[i]`` has rank ``i + 1``;
     ``frac_le_alpha`` is the fraction of p-values at or below ``alpha``.
-    An empty ``p`` raises :class:`EmptySeriesError`.
+    A p-value outside (0, 1], NaN included, raises :class:`ValidationError`;
+    an empty ``p`` raises :class:`EmptySeriesError`.
     """
 
     endpoint: str
@@ -109,7 +114,14 @@ class PValuePlotSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _require_open_unit("alpha", self.alpha))
-        object.__setattr__(self, "p", tuple(sorted(map(float, self.p))))
+        p = sorted(map(float, self.p))
+        # Every value: a NaN leaves the sort out of order, so the ends prove nothing.
+        bad = [value for value in p if not 0.0 < value <= 1.0]
+        if bad:
+            raise ValidationError(
+                f"p must lie in (0, 1], got {bad[0]!r} (endpoint {self.endpoint!r})"
+            )
+        object.__setattr__(self, "p", tuple(p))
         if not self.p:
             raise EmptySeriesError(f"no p-value records for endpoint {self.endpoint!r}")
 

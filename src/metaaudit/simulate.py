@@ -123,10 +123,15 @@ class SimConfig:
 
 def _two_sided_p(z: np.ndarray) -> np.ndarray:
     # 2 * Phi(-|z|) = erfc(|z| / sqrt 2). A scalar math.erfc per value is cheap
-    # next to the import a vectorised special-function library would cost.
+    # next to the import a vectorised special-function library would cost. It runs
+    # on blocks of 8192, so that no list of Python floats spans the whole array.
     import numpy as np
 
-    return np.array([math.erfc(abs(v) / _SQRT2) for v in z.tolist()])
+    x = (np.abs(z) / _SQRT2).ravel()
+    for start in range(0, x.size, 8192):
+        block = x[start:start + 8192]
+        block[:] = np.fromiter(map(math.erfc, block.tolist()), float, block.size)
+    return x.reshape(z.shape)
 
 
 def _min_p(u: np.ndarray, s_tests: int) -> np.ndarray:
@@ -163,9 +168,7 @@ def draw_pvalues(cfg: SimConfig) -> np.ndarray:
         p += cfg.delta
     elif selected is not None and cfg.mix_component == "effect":
         p += cfg.delta * selected
-    # Row by row: a list over the whole array would hold one Python float per p-value.
-    for row in p:
-        row[:] = _two_sided_p(row)
+    p = _two_sided_p(p)
     if selected is not None and cfg.mix_component == "phack":
         p = np.where(selected, _min_p(candidates.random(shape), cfg.s_tests), p)
     return np.clip(p, P_FLOOR, 1.0, out=p)

@@ -11,6 +11,7 @@ check structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .diagnostics import PValuePlotSeries, VolcanoPoint
 from .errors import ValidationError
@@ -89,14 +90,12 @@ class _Frame:
             f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="#ffffff"/>',
         ]
 
-    def axes_path(self, extra_segments: list[str] | None = None) -> str:
-        segments = [
+    def axes_path(self, extra_segments: Iterable[str]) -> str:
+        d = " ".join([
             f"M{_fmt(self.left)} {_fmt(self.bottom)} L{_fmt(self.right)} {_fmt(self.bottom)}",
             f"M{_fmt(self.left)} {_fmt(self.bottom)} L{_fmt(self.left)} {_fmt(self.top)}",
-        ]
-        if extra_segments:
-            segments.extend(extra_segments)
-        d = " ".join(segments)
+            *extra_segments,
+        ])
         return f'<path d="{d}" stroke="#000000" stroke-width="1" fill="none"/>'
 
     def x_tick(self, x: float, label: str) -> tuple[str, str]:
@@ -169,17 +168,10 @@ def render_pplot_svg(series: PValuePlotSeries, options: PlotOptions | None = Non
     options = options or PlotOptions()
     frame = _Frame(options, x_range=(0.0, float(series.m)), y_range=(0.0, 1.0))
 
-    tick_segments: list[str] = []
-    tick_texts: list[str] = []
-    x_ticks = sorted({0, series.m // 2, series.m})
-    for x in x_ticks:
-        segment, text = frame.x_tick(float(x), str(x))
-        tick_segments.append(segment)
-        tick_texts.append(text)
-    for y, label in ((0.0, "0"), (0.25, "0.25"), (0.5, "0.5"), (0.75, "0.75"), (1.0, "1")):
-        segment, text = frame.y_tick(y, label)
-        tick_segments.append(segment)
-        tick_texts.append(text)
+    ticks = [frame.x_tick(float(x), str(x)) for x in sorted({0, series.m // 2, series.m})]
+    ticks += [frame.y_tick(y, label) for y, label in
+              ((0.0, "0"), (0.25, "0.25"), (0.5, "0.5"), (0.75, "0.75"), (1.0, "1"))]
+    tick_segments, tick_texts = zip(*ticks)
 
     parts = frame.open_svg()
     parts.append(frame.axes_path(tick_segments))
@@ -192,11 +184,12 @@ def render_pplot_svg(series: PValuePlotSeries, options: PlotOptions | None = Non
         f'stroke="#888888" stroke-width="1.5" stroke-dasharray="6 4"/>'
     )
     parts.append(frame.h_ref_line(series.alpha, "#000000"))
-    for rank, p in enumerate(series.p, start=1):
-        parts.append(
-            f'<circle cx="{_fmt(frame.px(float(rank)))}" cy="{_fmt(frame.py(p))}" '
-            f'r="{_fmt(options.point_radius)}" fill="#336699"/>'
-        )
+    px, py = frame.px, frame.py
+    tail = f' r="{_fmt(options.point_radius)}" fill="#336699"/>'
+    parts += [
+        f'<circle cx="{_fmt(px(float(rank)))}" cy="{_fmt(py(p))}"{tail}'
+        for rank, p in enumerate(series.p, start=1)
+    ]
     parts.extend(
         frame.titles(
             options.title or series.endpoint, "rank (smallest to largest)", "p-value"
@@ -244,24 +237,15 @@ def render_volcano_svg(
     y_extent *= 1.1
     frame = _Frame(options, x_range=(-x_extent, x_extent), y_range=(0.0, y_extent))
 
-    tick_segments: list[str] = []
-    tick_texts: list[str] = []
-    for x in (-x_extent / 1.1, 0.0, x_extent / 1.1):
-        segment, text = frame.x_tick(x, _fmt(x))
-        tick_segments.append(segment)
-        tick_texts.append(text)
-    for y in (0.0, y_extent / 2.0, y_extent / 1.1):
-        segment, text = frame.y_tick(y, _fmt(y))
-        tick_segments.append(segment)
-        tick_texts.append(text)
+    ticks = [frame.x_tick(x, _fmt(x)) for x in (-x_extent / 1.1, 0.0, x_extent / 1.1)]
+    ticks += [frame.y_tick(y, _fmt(y)) for y in (0.0, y_extent / 2.0, y_extent / 1.1)]
+    tick_segments, tick_texts = zip(*ticks)
     # Vertical guide at zero effect, drawn as part of the axes path.
     zero_x = frame.px(0.0)
-    tick_segments.append(
-        f"M{_fmt(zero_x)} {_fmt(frame.bottom)} L{_fmt(zero_x)} {_fmt(frame.top)}"
-    )
+    zero_guide = f"M{_fmt(zero_x)} {_fmt(frame.bottom)} L{_fmt(zero_x)} {_fmt(frame.top)}"
 
     parts = frame.open_svg()
-    parts.append(frame.axes_path(tick_segments))
+    parts.append(frame.axes_path([*tick_segments, zero_guide]))
     parts.extend(tick_texts)
     parts.append(frame.h_ref_line(bonferroni_y, "#000000", dashed=True))
     for point in points:

@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import metaaudit
-from metaaudit import case_counts_path, case_effects_path, case_pvalues_path, simulate
+from metaaudit import (
+    ValidationError, case_counts_path, case_effects_path, case_pvalues_path, load_pvalues,
+    simulate,
+)
 from metaaudit.cli import _SETTINGS, _build_parser, main
 
 
@@ -84,6 +87,61 @@ def test_pplot_invalid_row_names_location(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "row 2" in err
+
+
+PVALUES_HEADER = "citation,author,endpoint,p,direction_negative"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("7,a,y,abc,false", "field 'p': not a number: 'abc'"),
+        ("7,a,y,1.5,false", "p must lie in (0, 1], got 1.5 (citation 7)"),
+        ("7,a,y,nan,false", "p must be finite, got nan"),
+        ("7.5,a,y,0.5,false", "field 'citation': not an integer: '7.5'"),
+        ("7,a,y,0.5,maybe", "field 'direction_negative': not a boolean: 'maybe'"),
+        ("7,a,,0.5,false", "endpoint must be a non-empty string"),
+        ("3,b,y,0.6,false", "duplicate (citation, endpoint) = (3, 'y')"),
+    ],
+    ids=["p-not-a-number", "p-above-one", "p-nan", "citation", "direction_negative",
+         "blank-endpoint", "duplicate-key"],
+)
+def test_pplot_validates_rows_of_other_endpoints(tmp_path, capsys, row, message):
+    # The bad row is record 5, in endpoint y (or none), while x is plotted.
+    bad = tmp_path / "bad.csv"
+    plotted = [f"{citation},a,x,{citation / 10},false" for citation in range(1, 7)]
+    rows = [PVALUES_HEADER, *plotted[:2], "3,a,y,0.2,false", row, *plotted[2:]]
+    bad.write_text("\n".join(rows) + "\n")
+    assert run(["pplot", "--in", str(bad), "--endpoint", "x"], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {bad}: row 5: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_pplot_plots_the_loaded_pvalues_of_its_endpoint(tmp_path):
+    data = tmp_path / "mixed.csv"
+    data.write_text("\n".join([
+        PVALUES_HEADER,
+        "1,a,x,0.30,false", "1,a,y,<0.001,true", "2,b,x,,false", "2,b,y,0.02,false",
+        "3,c,x,<0.001,false", "# a comment", "3,c,y,,true", "4,d,x,0.04,true",
+        "5,e,y,1,false", "5,e,x,0.5e-2,false", "6,f,z,0.7,false",
+    ]) + "\n")
+    records = load_pvalues(data)
+    for endpoint in ("x", "y", "z"):
+        assert run(["pplot", "--in", str(data), "--endpoint", endpoint], tmp_path,
+                   out=endpoint) == 0
+        lines = (tmp_path / endpoint / f"pplot_{endpoint}.csv").read_text().splitlines()
+        plotted = [float(line.split(",")[1]) for line in lines[1:]]
+        assert plotted == sorted(r.p for r in records if r.endpoint == endpoint)
+
+
+def test_pplot_builds_no_records(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pplot built a record")
+
+    monkeypatch.setattr(metaaudit.datasets, "load_pvalues", refuse)
+    monkeypatch.setattr(metaaudit.diagnostics, "build_pplot", refuse)
+    monkeypatch.setattr(metaaudit.diagnostics.PValueRecord, "__post_init__", refuse)
+    assert run(["pplot", "--in", str(case_pvalues_path()), "--endpoint", "CO"], tmp_path) == 0
 
 
 @pytest.mark.parametrize(
@@ -383,6 +441,18 @@ def test_simulate_effect_studies_need_delta(tmp_path, capsys, flags, config):
     assert code == 2
     assert "delta" in capsys.readouterr().err
     assert run(["simulate", "--in", str(cfg), "--delta", "0"] + flags, tmp_path) == 0
+
+
+@pytest.mark.parametrize("flags, config", [(["--pi", "1.5"], ""), ([], "pi=1.5\n")],
+                         ids=["flag", "config"])
+def test_simulate_range_error_names_the_key(tmp_path, capsys, flags, config):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("regime=mixture\nm=10\nseed=4\n" + config)
+    assert run(["simulate", "--in", str(cfg), *flags], tmp_path) == 2
+    assert capsys.readouterr().err == "error: pi must lie in [0, 1], got 1.5\n"
+    # The library names its own field.
+    with pytest.raises(ValidationError, match=r"^pi_mix must lie in \[0, 1\], got 1.5$"):
+        simulate.SimConfig(regime="mixture", m=10, seed=4, pi_mix=1.5)
 
 
 def test_simulate_mix_component_flag_overrides_config(tmp_path):

@@ -123,6 +123,15 @@ def test_series_sorts_coerces_and_validates_p():
         PValuePlotSeries("e", (0.5,), alpha=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, 1.5, -0.1])
+def test_series_rejects_p_outside_unit_interval(bad):
+    # NaN would leave the sort out of order and hang the Kolmogorov series.
+    with pytest.raises(ValidationError, match=r"\(0, 1\], got .* \(endpoint 'e'\)"):
+        PValuePlotSeries("e", [0.3, 0.4, 0.5, 0.6, bad])
+    with pytest.raises(ValidationError, match="endpoint 'e'"):
+        PValuePlotSeries("e", [bad, 0.3, 0.4, 0.5, 0.6])
+
+
 # --------------------------------------------------------- uniformity_ks
 
 

@@ -1,5 +1,7 @@
 """Tests for the Monte-Carlo p-value generator and its shape summaries."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -50,6 +52,14 @@ def test_two_sided_p_matches_oracle():
     z = np.concatenate([rng.standard_normal(500), 3.0 + rng.standard_normal(500)])
     for value, p in zip(z.tolist(), _two_sided_p(z).tolist()):
         assert p == pytest.approx(oracles.two_sided_p(value), rel=1e-14, abs=0.0)
+
+
+def test_two_sided_p_equals_per_value_loop():
+    # Several erfc blocks, a partial last one, and the shape kept.
+    z = np.random.default_rng(18).standard_normal((3, 7000)) * 4.0
+    p = _two_sided_p(z)
+    assert p.shape == z.shape
+    assert p.tolist() == [[math.erfc(abs(v) / math.sqrt(2.0)) for v in row] for row in z.tolist()]
 
 
 # ------------------------------------------------------ simulate_pvalues

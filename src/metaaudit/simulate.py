@@ -8,8 +8,11 @@ candidate tests ("phack"), or when such studies are mixed with null ones.
 
 Candidate tests within a study are simulated as independent, so the chance
 of at least one p <= alpha across S candidates is the familiar
-``1 - (1 - alpha)**S``. Real search spaces are correlated; independence is
-the upper bound and keeps the arithmetic transparent.
+``1 - (1 - alpha)**S``. Real search spaces are correlated, and independent
+candidates maximise that chance, so independence bounds what selection can
+do; it does not model the case study's data. At each study's own ``space3``
+it predicts almost no reported p above 0.05, yet 61 of the 104 bundled
+p-values are.
 
 The reported minimum of S iid Uniform(0,1) candidate p-values is Beta(1, S),
 drawn exactly from one uniform per study, so S costs O(1) per study.
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagnostics import PValueRecord, _ks_d, _two_segment_fits
+from .diagnostics import _SSE_LINEAR_EPS, PValueRecord
 from .errors import InsufficientDataError, ValidationError
 from .statcore import _SQRT2, P_FLOOR, _require_finite, _require_int
 
@@ -205,6 +208,50 @@ class ShapeStats(NamedTuple):
     mean_frac_le_005: float
     mean_ks_d: float
     mean_bilinearity_ratio: float
+
+
+def _ks_d(sorted_p: np.ndarray) -> np.ndarray:
+    """KS distance from Uniform(0,1) of each row of a row-sorted 2-D array in (0, 1]."""
+    import numpy as np
+
+    m = sorted_p.shape[1]
+    i = np.arange(1, m + 1, dtype=float)
+    return np.maximum(np.max(i / m - sorted_p, axis=1), np.max(sorted_p - (i - 1.0) / m, axis=1))
+
+
+def _line_sse(k, sx, sy, sxx, syy, sxy) -> np.ndarray:
+    """:func:`.diagnostics._line_sse` of arrays of k and of the sums, element by element."""
+    import numpy as np
+
+    sxx = sxx - sx * sx / k
+    syy = syy - sy * sy / k
+    sxy = sxy - sx * sy / k
+    sse = syy - sxy * sxy / sxx
+    return np.where(sse > 0.0, sse, 0.0)
+
+
+def _two_segment_fits(sorted_p: np.ndarray):
+    """:func:`.bilinearity_fit` of every row of a row-sorted (n, m) array, m >= 6.
+
+    Returns arrays ``(breakpoint_rank, sse_two_segment, sse_one_segment, ratio)``.
+    """
+    import numpy as np
+
+    n, m = sorted_p.shape
+    x, y = np.arange(1, m + 1, dtype=float), sorted_p
+    # Running sums along each row; those of x are the same for every row.
+    sums = (np.cumsum(x), np.cumsum(y, axis=1), np.cumsum(x * x),
+            np.cumsum(y * y, axis=1), np.cumsum(x * y, axis=1))
+    ranks = np.arange(2, m - 1)  # the left segment's last rank is also its size
+    left = [s[..., ranks - 1] for s in sums]
+    right = [s[..., -1:] - s_left for s, s_left in zip(sums, left)]
+    totals = _line_sse(ranks, *left) + _line_sse(m - ranks, *right)
+    best = np.argmin(totals, axis=1)  # the first minimum: ties go to the smallest rank
+    sse_two = totals[np.arange(n), best]
+    sse_one = _line_sse(m, *(s[..., -1] for s in sums))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sse_one <= _SSE_LINEAR_EPS, 1.0, np.minimum(sse_two / sse_one, 1.0))
+    return ranks[best], sse_two, sse_one, ratio
 
 
 def shape_stats(p: np.ndarray) -> ShapeStats:

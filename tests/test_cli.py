@@ -610,14 +610,14 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_array_free_commands_load_no_numpy(tmp_path):
-    # Five of the seven commands never build an array, so they must start
-    # without numpy, and no command needs the XML or URL libraries.
+    # Only simulate builds arrays, so the other six commands must run without
+    # numpy, and no command needs the XML or URL libraries.
     heavy = ("numpy", "xml.sax", "urllib.request")
     code = f"""
 import sys
 import metaaudit
 bare = sorted(m for m in {heavy!r} if m in sys.modules)
-from metaaudit import case_counts_path, case_effects_path
+from metaaudit import case_counts_path, case_effects_path, case_pvalues_path
 from metaaudit.cli import main
 effects, out = str(case_effects_path()), {str(tmp_path)!r}
 runs = [
@@ -626,11 +626,13 @@ runs = [
     ["pool", "--in", effects, "--method", "dl"],
     ["pfromci", "--in", effects],
     ["volcano", "--in", effects],
+    ["pplot", "--in", str(case_pvalues_path()), "--endpoint", "ozone"],
+    ["report", "--fixtures"],
 ]
 codes = [main(argv + ["--out", out + "/" + argv[0]]) for argv in runs]
 print(bare, codes, sorted(m for m in {heavy!r} if m in sys.modules), file=sys.stderr)
 """
-    assert run_fresh(code).stderr == "[] [0, 0, 0, 0, 0] []\n"
+    assert run_fresh(code).stderr == "[] [0, 0, 0, 0, 0, 0, 0] []\n"
 
 
 # ------------------------------------------------------------ CSV quoting

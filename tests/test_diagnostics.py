@@ -26,6 +26,7 @@ from metaaudit import (
     uniformity_ks,
 )
 from metaaudit.diagnostics import _kolmogorov_sf
+from metaaudit.simulate import _ks_d, _two_segment_fits
 
 
 def records_from(ps, endpoint="e"):
@@ -300,8 +301,14 @@ def reference_series():
 def test_bilinearity_fit_equals_loop_reference(name):
     ps = reference_series()[name]
     series = build_pplot(records_from(ps), "e")
-    assert tuple(bilinearity_fit(series)) == loop_bilinearity_fit(ps)
-    assert uniformity_ks(series).d_stat == loop_ks_d(ps)
+    fit, d_stat = tuple(bilinearity_fit(series)), uniformity_ks(series).d_stat
+    assert fit == loop_bilinearity_fit(ps)
+    assert d_stat == loop_ks_d(ps)
+    # The batched kernels of shape_stats give the same bits on the series as a one-row array.
+    row = np.array([series.p])
+    rank, *sses = _two_segment_fits(row)
+    assert repr((int(rank[0]), *(float(a[0]) for a in sses))) == repr(fit)
+    assert repr(float(_ks_d(row)[0])) == repr(d_stat)
 
 
 def test_bilinearity_conventions_on_exact_lines():

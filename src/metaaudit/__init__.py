@@ -7,131 +7,26 @@ DerSimonian-Laird random-effects weighting, and simulates p-value
 populations under null, effect, selection, and mixture regimes.
 """
 
-from .datasets import (
-    Dataset,
-    case_counts_path,
-    case_effects_path,
-    case_pvalues_path,
-    load_case_dataset,
-    load_counts,
-    load_dataset,
-    load_effects,
-    load_pvalues,
-    save_counts,
-    save_effects,
-    save_pvalues,
-)
-from .diagnostics import (
-    BilinearityFit,
-    EndpointDescriptives,
-    KsResult,
-    PValuePlotSeries,
-    PValueRecord,
-    VolcanoPoint,
-    bilinearity_fit,
-    build_pplot,
-    build_volcano,
-    descriptives,
-    uniformity_ks,
-)
-from .errors import (
-    DegenerateIntervalError,
-    EmptySeriesError,
-    InsufficientDataError,
-    SearchSpaceOverflowError,
-    ValidationError,
-)
-from .pooling import PooledResult, i2, pool_fixed, pool_random_dl
-from .searchspace import (
-    SearchSpace,
-    SpaceSummary,
-    StudyCounts,
-    compute_space,
-    summarize_spaces,
-)
-from .simulate import (
-    REGIMES,
-    ShapeStats,
-    SimConfig,
-    draw_pvalues,
-    shape_check,
-    shape_stats,
-    simulate_pvalues,
-)
-from .statcore import (
-    BackCalcResult,
-    BonferroniLine,
-    EffectEstimate,
-    P_FLOOR,
-    bonferroni_line,
-    fwer,
-    normal_cdf,
-    normal_quantile,
-    p_from_estimate,
-    quantile_type6,
-    z_crit,
-)
-from .svgplot import PlotOptions, render_pplot_svg, render_volcano_svg
+# Each module's __all__ is the one list of what it publishes; the package
+# re-exports them all.
+from . import datasets, diagnostics, errors, pooling, searchspace, simulate, statcore, svgplot
+from .datasets import *
+from .diagnostics import *
+from .errors import *
+from .pooling import *
+from .searchspace import *
+from .simulate import *
+from .statcore import *
+from .svgplot import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackCalcResult",
-    "BilinearityFit",
-    "BonferroniLine",
-    "Dataset",
-    "DegenerateIntervalError",
-    "EffectEstimate",
-    "EmptySeriesError",
-    "EndpointDescriptives",
-    "InsufficientDataError",
-    "KsResult",
-    "P_FLOOR",
-    "PValuePlotSeries",
-    "PValueRecord",
-    "PlotOptions",
-    "PooledResult",
-    "REGIMES",
-    "SearchSpace",
-    "SearchSpaceOverflowError",
-    "ShapeStats",
-    "SimConfig",
-    "SpaceSummary",
-    "StudyCounts",
-    "ValidationError",
-    "VolcanoPoint",
-    "bilinearity_fit",
-    "bonferroni_line",
-    "build_pplot",
-    "build_volcano",
-    "case_counts_path",
-    "case_effects_path",
-    "case_pvalues_path",
-    "compute_space",
-    "descriptives",
-    "draw_pvalues",
-    "fwer",
-    "i2",
-    "load_case_dataset",
-    "load_counts",
-    "load_dataset",
-    "load_effects",
-    "load_pvalues",
-    "normal_cdf",
-    "normal_quantile",
-    "p_from_estimate",
-    "pool_fixed",
-    "pool_random_dl",
-    "quantile_type6",
-    "render_pplot_svg",
-    "render_volcano_svg",
-    "save_counts",
-    "save_effects",
-    "save_pvalues",
-    "shape_check",
-    "shape_stats",
-    "simulate_pvalues",
-    "summarize_spaces",
-    "uniformity_ks",
-    "z_crit",
-]
+__all__ = []
+__all__ += datasets.__all__
+__all__ += diagnostics.__all__
+__all__ += errors.__all__
+__all__ += pooling.__all__
+__all__ += searchspace.__all__
+__all__ += simulate.__all__
+__all__ += statcore.__all__
+__all__ += svgplot.__all__

@@ -15,7 +15,7 @@ only beneath the output directory (default ``./out/<command>/``). Outputs
 are byte-identical across re-runs on unchanged inputs; the only randomness
 anywhere is in ``simulate`` and is pinned by its required ``--seed``.
 
-Exit codes: 0 success, 2 invalid data or arguments, 1 I/O failure.
+Exit codes: 0 success, 2 invalid data or arguments, 1 I/O failure or out of memory.
 """
 
 from __future__ import annotations
@@ -113,17 +113,9 @@ def cmd_spaces(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- pplot
 
-_DIAG_COLUMNS = [
-    "endpoint",
-    "m",
-    "frac_le_alpha",
-    "ks_d",
-    "ks_p",
-    "breakpoint_rank",
-    "sse_two_segment",
-    "sse_one_segment",
-    "ratio",
-]
+_DIAG_COLUMNS = (
+    "endpoint", "m", "frac_le_alpha", "ks_d", "ks_p", *diagnostics.BilinearityFit._fields
+)
 
 
 def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> list:
@@ -135,10 +127,9 @@ def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> list:
     except InsufficientDataError:
         row += ["", ""]
     try:
-        fit = diagnostics.bilinearity_fit(series)
-        row += [fit.breakpoint_rank, fit.sse_two_segment, fit.sse_one_segment, fit.ratio]
+        row += diagnostics.bilinearity_fit(series)
     except InsufficientDataError:
-        row += ["", "", "", ""]
+        row += [""] * len(diagnostics.BilinearityFit._fields)
     return row
 
 
@@ -379,11 +370,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"regime {cfg.regime}: wrote {cfg.replicates} replicate(s) of m={cfg.m} "
               f"p-values ({exc})")
         return 0
-    csv_text = _write_csv(
-        out / "shape_stats.csv",
-        ("mean_frac_le_005", "mean_ks_d", "mean_bilinearity_ratio"),
-        [(stats.mean_frac_le_005, stats.mean_ks_d, stats.mean_bilinearity_ratio)],
-    )
+    csv_text = _write_csv(out / "shape_stats.csv", simulate.ShapeStats._fields, [stats])
     print(csv_text, end="")
     print(
         f"regime {cfg.regime}: mean frac p<=0.05 {stats.mean_frac_le_005:.4f}, "
@@ -409,11 +396,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     _write_spaces(out, dataset.counts)
 
     described = diagnostics.descriptives(dataset.pvalues)
-    desc_columns = ("endpoint", "count", "min_p", "max_p")
-    desc_rows = [
-        (endpoint, stats.count, stats.min_p, stats.max_p)
-        for endpoint, stats in described.items()
-    ]
+    desc_columns = ("endpoint", *diagnostics.EndpointDescriptives._fields)
+    desc_rows = [(endpoint, *stats) for endpoint, stats in described.items()]
     _write_csv(out / "descriptives.csv", desc_columns, desc_rows)
 
     diag_rows = []
@@ -523,6 +507,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -26,6 +26,7 @@ on how many replicates are drawn.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,6 +99,12 @@ class SimConfig:
             )
         for name in ("m", "s_tests", "replicates"):
             _require_int(name, getattr(self, name), minimum=1)
+        _require_finite("s_tests", self.s_tests)  # the Beta(1, S) draw divides floats by S
+        # One array holds every p-value, 8 bytes each, and may span at most sys.maxsize bytes.
+        if self.m * self.replicates * 8 > sys.maxsize:
+            raise ValidationError(
+                f"replicates * m must be at most {sys.maxsize // 8}: one array holds every p-value"
+            )
         if not 0 <= _require_int("seed", self.seed) <= _SEED_MAX:
             raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.delta is None and "delta" in self.reads():

@@ -46,6 +46,8 @@ _STANDARD_NORMAL = NormalDist()
 def _require_finite(name: str, value: float) -> float:
     try:
         value = float(value)
+    except OverflowError:  # an integer past the float range, too long to echo back
+        raise ValidationError(f"{name} must be finite, got a number past the float range") from None
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
@@ -194,7 +196,7 @@ def bonferroni_line(alpha: float, m_tests: int) -> BonferroniLine:
     """
     alpha = _require_open_unit("alpha", alpha)
     _require_int("m_tests", m_tests, minimum=1)
-    threshold = alpha / m_tests
+    threshold = alpha / _require_finite("m_tests", m_tests)
     return BonferroniLine(threshold=threshold, neg_log10=-math.log10(threshold))
 
 

@@ -531,6 +531,50 @@ def test_simulate_search_space_of_any_size(tmp_path, capsys, flags):
     assert len(lines) == 1 + 2 * 30
 
 
+# Each would overflow or exceed the platform's array size if it reached the draw;
+# SimConfig and bonferroni_line reject it before anything is allocated or written.
+HUGE = str(10**400)
+TERA = str(2**40)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate", "--regime", "null", "--m", "30", "--replicates", HUGE, "--seed", "1"],
+         "replicates"),
+        (["simulate", "--regime", "null", "--m", TERA, "--replicates", TERA, "--seed", "1"],
+         "replicates"),
+        (["simulate", "--regime", "phack", "--m", "5", "--seed", "1", "--s-tests", HUGE],
+         "s_tests"),
+        (["volcano", "--in", str(case_effects_path()), "--m-tests", HUGE], "m_tests"),
+    ],
+    ids=["replicates-past-dimension", "array-too-big", "s-tests-past-float", "m-tests-past-float"],
+)
+def test_integer_settings_too_large_for_their_use(tmp_path, capsys, argv, key):
+    assert run(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_large_search_space_still_draws(tmp_path, capsys):
+    argv = ["simulate", "--regime", "phack", "--m", "5", "--seed", "1", "--s-tests", str(10**30)]
+    assert run(argv, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_out_of_memory_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    # Never a real allocation: with memory overcommitted, it could be granted and filled.
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(simulate, "draw_pvalues", exhausted)
+    assert run(["simulate", "--regime", "null", "--m", "30", "--seed", "1"], tmp_path) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
+    )
+
+
 def test_simulate_draw_memory_does_not_grow_with_search_space():
     def peak(s_tests):
         cfg = simulate.SimConfig(regime="mixture", m=30, seed=1, s_tests=s_tests, pi_mix=0.4,

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo p-value generator and its shape summaries."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def test_sim_config_validation():
         SimConfig(regime="mixture", m=10, seed=1, mix_component="other")
     with pytest.raises(ValidationError):
         SimConfig(regime="null", m=10, seed=1, replicates=0)
+
+
+def test_sim_config_rejects_more_values_than_one_array_can_index():
+    # checked before anything is drawn, so neither config allocates
+    most = sys.maxsize // 8  # float64 values in the largest array the platform can index
+    SimConfig(regime="null", m=1, seed=1, replicates=most)
+    with pytest.raises(ValidationError, match=r"^replicates \* m must be at most "):
+        SimConfig(regime="null", m=1, seed=1, replicates=most + 1)
+    with pytest.raises(ValidationError, match=r"^replicates \* m must be at most "):
+        SimConfig(regime="null", m=2**40, seed=1, replicates=2**40)
 
 
 def test_two_sided_p_matches_oracle():

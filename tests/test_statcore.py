@@ -196,6 +196,10 @@ def test_bonferroni_line_validation():
         bonferroni_line(1.5, 10)
 
 
+def test_bonferroni_line_any_float_sized_m_tests():
+    assert bonferroni_line(0.05, 10**300).neg_log10 == pytest.approx(301.30103)
+
+
 # -------------------------------------------------------- EffectEstimate
 
 
@@ -339,6 +343,24 @@ def test_effect_estimate_stores_floats():
 def test_non_numbers_are_validation_errors(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("rr", lambda v: EffectEstimate("a", v, 1.1, 1.3)),
+        ("p", lambda v: PValueRecord(citation=1, author="a", endpoint="x", p=v)),
+        ("delta", lambda v: SimConfig(regime="effect", m=5, seed=1, delta=v)),
+        ("s_tests", lambda v: SimConfig(regime="phack", m=5, seed=1, s_tests=v)),
+        ("m_tests", lambda v: bonferroni_line(0.05, v)),
+    ],
+)
+def test_numbers_past_the_float_range_are_validation_errors(name, build):
+    # float() overflows on such an integer, and the message does not echo its digits
+    with pytest.raises(
+        ValidationError, match=f"^{name} must be finite, got a number past the float range$"
+    ):
+        build(10**400)
 
 
 @pytest.mark.parametrize("bad", [True, "3"])

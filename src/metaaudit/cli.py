@@ -133,9 +133,7 @@ def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> list:
     return row
 
 
-def _write_pplot(
-    out: Path, series: diagnostics.PValuePlotSeries, options: svgplot.PlotOptions
-) -> None:
+def _write_pplot(out: Path, series: diagnostics.PValuePlotSeries, comment: str) -> None:
     """Write pplot_<endpoint>.csv and .svg; the endpoint label must be one file name."""
     # A separator would add directories to the path, and no file name may hold NUL.
     if any(char in series.endpoint for char in ("/", "\\", "\0")):
@@ -149,7 +147,8 @@ def _write_pplot(
     # list of rows stays alive while the SVG renders.
     rows = (f"{rank},{p!r}" for rank, p in enumerate(series.p, start=1))
     _write(out / f"pplot_{series.endpoint}.csv", "\n".join(["rank,p", *rows]) + "\n")
-    _write(out / f"pplot_{series.endpoint}.svg", svgplot.render_pplot_svg(series, options))
+    svg = svgplot.render_pplot_svg(series, comment=comment)
+    _write(out / f"pplot_{series.endpoint}.svg", svg)
 
 
 def cmd_pplot(args: argparse.Namespace) -> int:
@@ -157,9 +156,8 @@ def cmd_pplot(args: argparse.Namespace) -> int:
     p = [p for _, _, endpoint, p, _, _ in datasets._pvalue_rows(args.infile)
          if endpoint == args.endpoint]
     series = diagnostics.PValuePlotSeries(args.endpoint, p, args.alpha)
-    options = svgplot.PlotOptions(comment=f"p-value plot, endpoint {series.endpoint}")
     out = _out_dir(args, "pplot")
-    _write_pplot(out, series, options)
+    _write_pplot(out, series, f"p-value plot, endpoint {series.endpoint}")
     diag_csv = _write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, [_diagnostics_row(series)])
     print(diag_csv, end="")
     print(
@@ -176,12 +174,14 @@ def _write_volcano(
     out: Path,
     points: list[diagnostics.VolcanoPoint],
     bonferroni_y: float,
-    options: svgplot.PlotOptions,
+    comment: str,
+    title: str = "",
 ) -> str:
     """Write volcano.csv and volcano.svg; return the CSV text."""
     rows = ((point.label, point.effect, point.neg_log10_p) for point in points)
     csv_text = _write_csv(out / "volcano.csv", ("label", "effect", "neg_log10_p"), rows)
-    _write(out / "volcano.svg", svgplot.render_volcano_svg(points, bonferroni_y, options))
+    svg = svgplot.render_volcano_svg(points, bonferroni_y, title=title, comment=comment)
+    _write(out / "volcano.svg", svg)
     return csv_text
 
 
@@ -189,8 +189,8 @@ def cmd_volcano(args: argparse.Namespace) -> int:
     estimates = _load_rows(datasets.load_effects, args.infile)
     m_tests = args.m_tests if args.m_tests is not None else len(estimates)
     points, bonferroni_y = diagnostics.build_volcano(estimates, args.alpha, m_tests)
-    options = svgplot.PlotOptions(comment=f"volcano plot, alpha {args.alpha:g}, m_tests {m_tests}")
-    csv_text = _write_volcano(_out_dir(args, "volcano"), points, bonferroni_y, options)
+    comment = f"volcano plot, alpha {args.alpha:g}, m_tests {m_tests}"
+    csv_text = _write_volcano(_out_dir(args, "volcano"), points, bonferroni_y, comment)
 
     print(csv_text, end="")
     rows = [[p.label, f"{p.effect:.4f}", f"{p.neg_log10_p:.3f}"] for p in points]
@@ -240,21 +240,20 @@ def cmd_pool(args: argparse.Namespace) -> int:
 
 
 def _write_backcalc(
-    out: Path, estimates: list[EffectEstimate]
-) -> tuple[str, list[BackCalcResult]]:
-    """Write backcalc.csv; return its text and the back-calculation of each estimate."""
-    backs = [p_from_estimate(estimate) for estimate in estimates]
+    out: Path, estimates: list[EffectEstimate], backs: Iterable[BackCalcResult]
+) -> str:
+    """Write backcalc.csv from each estimate and its back-calculation; return its text."""
     rows = (
         (estimate.label, back.log_effect, back.se, back.z, back.p)
         for estimate, back in zip(estimates, backs)
     )
-    csv_text = _write_csv(out / "backcalc.csv", ("label", "log_effect", "se", "z", "p"), rows)
-    return csv_text, backs
+    return _write_csv(out / "backcalc.csv", ("label", "log_effect", "se", "z", "p"), rows)
 
 
 def cmd_pfromci(args: argparse.Namespace) -> int:
     estimates = _load_rows(datasets.load_effects, args.infile)
-    csv_text, backs = _write_backcalc(_out_dir(args, "pfromci"), estimates)
+    backs = [p_from_estimate(estimate) for estimate in estimates]
+    csv_text = _write_backcalc(_out_dir(args, "pfromci"), estimates, backs)
 
     print(csv_text, end="")
     rows = [
@@ -345,9 +344,8 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _build_sim_config(args)
-    out = _out_dir(args, "simulate")
-
     p = simulate.draw_pvalues(cfg)
+    out = _out_dir(args, "simulate")
     path = out / "pvalues.csv"
     # Joined by hand, not by the dataset writer: the cells are numbers and a
     # regime name from REGIMES, so none needs quoting, and csv.writer took about
@@ -403,19 +401,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     diag_rows = []
     for endpoint in described:
         series = diagnostics.build_pplot(dataset.pvalues, endpoint=endpoint, alpha=args.alpha)
-        comment = f"p-value plot, endpoint {endpoint}, case-study dataset"
-        _write_pplot(out, series, svgplot.PlotOptions(comment=comment))
+        _write_pplot(out, series, f"p-value plot, endpoint {endpoint}, case-study dataset")
         diag_rows.append(_diagnostics_row(series))
     _write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, diag_rows)
 
-    _write_backcalc(out, dataset.effects)
+    _write_backcalc(out, dataset.effects, map(p_from_estimate, dataset.effects))
     m_tests = len(dataset.effects)
     points, bonferroni_y = diagnostics.build_volcano(dataset.effects, args.alpha, m_tests)
-    options = svgplot.PlotOptions(
-        title="pooled risk ratios",
-        comment=f"volcano plot, case-study dataset, alpha {args.alpha:g}, m_tests {m_tests}",
-    )
-    _write_volcano(out, points, bonferroni_y, options)
+    comment = f"volcano plot, case-study dataset, alpha {args.alpha:g}, m_tests {m_tests}"
+    _write_volcano(out, points, bonferroni_y, comment, title="pooled risk ratios")
 
     total = sum(stats.count for stats in described.values())
     print(_text_table(desc_columns, [[str(cell) for cell in row] for row in desc_rows]))

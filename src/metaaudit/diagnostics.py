@@ -32,6 +32,7 @@ from .statcore import (
     _require_int,
     _require_open_unit,
     _require_trimmed,
+    _shown,
     bonferroni_line,
     p_from_estimate,
 )
@@ -92,7 +93,7 @@ def _check_reported(citation: int, endpoint: str, p: float) -> float:
         raise ValidationError("endpoint must be a non-empty string")
     value = _require_finite("p", p)
     if not 0.0 < value <= 1.0:
-        raise ValidationError(f"p must lie in (0, 1], got {p!r} (citation {citation})")
+        raise ValidationError(f"p must lie in (0, 1], got {p!r} (citation {_shown(citation)})")
     return value
 
 
@@ -241,6 +242,9 @@ def _kolmogorov_sf(x: float) -> float:
 # roundoff without masking any real lack of fit (p-values live in [0, 1]).
 _SSE_LINEAR_EPS = 1e-13
 
+# Fewest p-values the two-segment fit accepts, here and in simulate.shape_stats.
+_FIT_MIN_M = 6
+
 
 def _ks_d(p: tuple[float, ...]) -> float:
     """KS distance from Uniform(0,1) of sorted p-values, all in (0, 1]."""
@@ -308,8 +312,8 @@ def bilinearity_fit(series: PValuePlotSeries) -> BilinearityFit:
         If the series has fewer than 6 points.
     """
     m = series.m
-    if m < 6:
-        raise InsufficientDataError(f"two-segment fit needs m >= 6, got m={m}")
+    if m < _FIT_MIN_M:
+        raise InsufficientDataError(f"two-segment fit needs m >= {_FIT_MIN_M}, got m={m}")
     return _two_segment_fit(series.p)
 
 

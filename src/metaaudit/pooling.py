@@ -112,6 +112,25 @@ def _cochran_q(logs: list[float], weights: list[float], pooled_log: float) -> fl
     return sum(w * (y - pooled_log) ** 2 for w, y in zip(weights, logs))
 
 
+def _result(
+    method: str, logs: list[float], weights: list[float], q_stat: float, tau2: float
+) -> PooledResult:
+    """Pool with ``weights`` and attach the 95% interval and heterogeneity statistics."""
+    pooled_log, pooled_se = _pool(logs, weights)
+    half_width = z_crit(0.95) * pooled_se
+    return PooledResult(
+        k=len(logs),
+        pooled_log=pooled_log,
+        pooled_se=pooled_se,
+        ci_low=pooled_log - half_width,
+        ci_high=pooled_log + half_width,
+        q_stat=q_stat,
+        tau2=tau2,
+        i2_percent=i2(q_stat, len(logs)),
+        method=method,
+    )
+
+
 def pool_fixed(estimates: list[EffectEstimate]) -> PooledResult:
     """Fixed-effect inverse-variance pooling.
 
@@ -135,21 +154,8 @@ def pool_fixed(estimates: list[EffectEstimate]) -> PooledResult:
     if not estimates:
         raise ValidationError("cannot pool an empty list of estimates")
     logs, weights = _log_effects_and_weights(estimates)
-    pooled_log, pooled_se = _pool(logs, weights)
-    q_stat = _cochran_q(logs, weights, pooled_log)
-    k = len(estimates)
-    half_width = z_crit(0.95) * pooled_se
-    return PooledResult(
-        k=k,
-        pooled_log=pooled_log,
-        pooled_se=pooled_se,
-        ci_low=pooled_log - half_width,
-        ci_high=pooled_log + half_width,
-        q_stat=q_stat,
-        tau2=0.0,
-        i2_percent=i2(q_stat, k),
-        method="fixed",
-    )
+    pooled_log, _ = _pool(logs, weights)
+    return _result("fixed", logs, weights, _cochran_q(logs, weights, pooled_log), 0.0)
 
 
 def pool_random_dl(estimates: list[EffectEstimate]) -> PooledResult:
@@ -187,17 +193,6 @@ def pool_random_dl(estimates: list[EffectEstimate]) -> PooledResult:
     w_sum = sum(weights)
     c = w_sum - sum(w**2 for w in weights) / w_sum
     tau2 = max(0.0, (q_stat - (k - 1)) / c)
+    # Fixed pooling keeps its own weights: 1 / (1 / w) can differ from w in the last bit.
     star_weights = [1.0 / (1.0 / w + tau2) for w in weights]
-    pooled_log, pooled_se = _pool(logs, star_weights)
-    half_width = z_crit(0.95) * pooled_se
-    return PooledResult(
-        k=k,
-        pooled_log=pooled_log,
-        pooled_se=pooled_se,
-        ci_low=pooled_log - half_width,
-        ci_high=pooled_log + half_width,
-        q_stat=q_stat,
-        tau2=tau2,
-        i2_percent=i2(q_stat, k),
-        method="random_DL",
-    )
+    return _result("random_DL", logs, star_weights, q_stat, tau2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, SearchSpaceOverflowError, ValidationError
-from .statcore import _require_int, _require_trimmed, quantile_type6
+from .statcore import _require_int, _require_trimmed, _shown, quantile_type6
 
 __all__ = [
     "SearchSpace",
@@ -66,12 +66,13 @@ class StudyCounts:
             value = _require_int(name, getattr(self, name))
             if value < 1:
                 raise ValidationError(
-                    f"{name} must be at least 1, got {value} (citation {self.citation})"
+                    f"{name} must be at least 1, got {_shown(value)} "
+                    f"(citation {_shown(self.citation)})"
                 )
         if _require_int("covariates", self.covariates) < 0:
             raise ValidationError(
-                f"covariates must be non-negative, got {self.covariates} "
-                f"(citation {self.citation})"
+                f"covariates must be non-negative, got {_shown(self.covariates)} "
+                f"(citation {_shown(self.citation)})"
             )
 
 
@@ -106,7 +107,8 @@ def compute_space(counts: StudyCounts) -> SearchSpace:
     """
     if counts.covariates > _MAX_COVARIATES:
         raise SearchSpaceOverflowError(
-            f"2**{counts.covariates} exceeds the 64-bit range (citation {counts.citation})"
+            f"2**{_shown(counts.covariates)} exceeds the 64-bit range "
+            f"(citation {_shown(counts.citation)})"
         )
     space1 = counts.outcomes * counts.predictors * counts.lags
     space2 = 2**counts.covariates
@@ -114,7 +116,8 @@ def compute_space(counts: StudyCounts) -> SearchSpace:
     for name, value in (("space1", space1), ("space2", space2), ("space3", space3)):
         if value > _INT64_MAX:
             raise SearchSpaceOverflowError(
-                f"{name}={value} exceeds the 64-bit range (citation {counts.citation})"
+                f"{name}={_shown(value)} exceeds the 64-bit range "
+                f"(citation {_shown(counts.citation)})"
             )
     return SearchSpace(space1=space1, space2=space2, space3=space3)
 

@@ -30,9 +30,9 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagnostics import _SSE_LINEAR_EPS, PValueRecord
+from .diagnostics import _FIT_MIN_M, _SSE_LINEAR_EPS, PValueRecord
 from .errors import InsufficientDataError, ValidationError
-from .statcore import _SQRT2, P_FLOOR, _require_finite, _require_int
+from .statcore import _SQRT2, P_FLOOR, _require_finite, _require_int, _shown
 
 # numpy is imported inside the functions that build or read arrays, so that
 # commands which never touch one start without paying for its import.
@@ -51,9 +51,8 @@ _SEED_MAX = 2**64 - 1
 # Author label of simulated records and of the rows of a simulated p-value CSV.
 RECORD_AUTHOR = "sim"
 
-# shape_stats needs this many replicates (fewer are too noisy to summarize by a
-# mean) and p-values per replicate (for the two-segment fit).
-_MIN_REPLICATES, _MIN_M = 100, 6
+# shape_stats needs this many replicates; fewer are too noisy to summarize by a mean.
+_MIN_REPLICATES = 100
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class SimConfig:
                 f"replicates * m must be at most {sys.maxsize // 8}: one array holds every p-value"
             )
         if not 0 <= _require_int("seed", self.seed) <= _SEED_MAX:
-            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise ValidationError(f"seed must lie in [0, 2**64), got {_shown(self.seed)}")
         if self.delta is None and "delta" in self.reads():
             raise ValidationError(f"regime {self.regime!r} draws effect studies; give delta")
         delta = 0.0 if self.delta is None else self.delta
@@ -273,9 +272,9 @@ def shape_stats(p: np.ndarray) -> ShapeStats:
     import numpy as np
 
     replicates, m = p.shape
-    if replicates < _MIN_REPLICATES or m < _MIN_M:
+    if replicates < _MIN_REPLICATES or m < _FIT_MIN_M:
         raise InsufficientDataError(
-            f"shape statistics need replicates >= {_MIN_REPLICATES} and m >= {_MIN_M}"
+            f"shape statistics need replicates >= {_MIN_REPLICATES} and m >= {_FIT_MIN_M}"
         )
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise ValidationError("shape_stats needs p-values in (0, 1]")

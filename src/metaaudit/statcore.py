@@ -14,6 +14,7 @@ reproducible bit-for-bit across runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -41,6 +42,15 @@ P_FLOOR = 1e-300
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = NormalDist()
+
+
+def _shown(value: object) -> str:
+    """``repr`` of a caller's value for an error message, for integers of any length."""
+    try:
+        return repr(value)
+    except ValueError:  # Python refuses int -> str past sys.get_int_max_str_digits() digits
+        sign = "negative " if isinstance(value, int) and value < 0 else ""
+        return f"<{sign}integer of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -72,9 +82,9 @@ def _require_trimmed(name: str, value: str) -> str:
 def _require_int(name: str, value: int, minimum: int | None = None) -> int:
     # bool is an int subclass, but True is never a count or an identifier.
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise ValidationError(f"{name} must be at least {minimum}, got {value}")
+        raise ValidationError(f"{name} must be at least {minimum}, got {_shown(value)}")
     return value
 
 

@@ -1,41 +1,23 @@
 """Deterministic SVG rendering of the two plot types.
 
-Renders are pure functions of (data, options): the same inputs always
-produce byte-identical SVG 1.1 text, so golden-file comparisons are valid
-tests. No timestamps, no randomness, fixed two-decimal coordinate
-formatting. Axes and tick marks are drawn as paths; ``<line>`` elements are
-reserved for statistical reference lines, which keeps the document easy to
-check structurally.
+Renders are pure functions of (data, title, comment) on a fixed 800x600
+canvas with 50 px margins: the same inputs always produce byte-identical
+SVG 1.1 text, so golden-file comparisons are valid tests. No timestamps, no
+randomness, fixed two-decimal coordinate formatting. Axes and tick marks are
+drawn as paths; ``<line>`` elements are reserved for statistical reference
+lines, which keeps the document easy to check structurally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .diagnostics import PValuePlotSeries, VolcanoPoint
 from .errors import ValidationError
 
-__all__ = ["PlotOptions", "render_pplot_svg", "render_volcano_svg"]
+__all__ = ["render_pplot_svg", "render_volcano_svg"]
 
-
-@dataclass(frozen=True)
-class PlotOptions:
-    """Canvas geometry and annotation options shared by both renderers."""
-
-    width: int = 800
-    height: int = 600
-    margin: int = 50
-    point_radius: float = 3.0
-    title: str = ""
-    comment: str = ""
-
-    def __post_init__(self) -> None:
-        if self.margin * 2 >= min(self.width, self.height):
-            raise ValidationError(
-                f"margins ({self.margin}px) leave no drawing area on a "
-                f"{self.width}x{self.height} canvas"
-            )
+_WIDTH, _HEIGHT, _MARGIN, _POINT_RADIUS = 800, 600, 50, 3.0
 
 
 def _fmt(value: float) -> str:
@@ -49,29 +31,16 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _comment_lines(options: PlotOptions) -> list[str]:
-    if not options.comment:
-        return []
-    safe = options.comment.replace("--", "- -")
-    return [f"<!-- {safe} -->"]
-
-
 class _Frame:
     """Maps data coordinates onto the pixel canvas."""
 
-    def __init__(
-        self,
-        options: PlotOptions,
-        x_range: tuple[float, float],
-        y_range: tuple[float, float],
-    ) -> None:
-        self.options = options
+    left = top = float(_MARGIN)
+    right = float(_WIDTH - _MARGIN)
+    bottom = float(_HEIGHT - _MARGIN)
+
+    def __init__(self, x_range: tuple[float, float], y_range: tuple[float, float]) -> None:
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
-        self.left = float(options.margin)
-        self.right = float(options.width - options.margin)
-        self.top = float(options.margin)
-        self.bottom = float(options.height - options.margin)
 
     def px(self, x: float) -> float:
         return self.left + (x - self.x0) / (self.x1 - self.x0) * (self.right - self.left)
@@ -79,15 +48,16 @@ class _Frame:
     def py(self, y: float) -> float:
         return self.bottom - (y - self.y0) / (self.y1 - self.y0) * (self.bottom - self.top)
 
-    def open_svg(self) -> list[str]:
-        o = self.options
+    def open_svg(self, comment: str) -> list[str]:
+        # "--" may not appear inside an XML comment, and the comment can hold user text.
+        safe = comment.replace("--", "- -")
         return [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            *_comment_lines(o),
+            *([f"<!-- {safe} -->"] if comment else []),
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{o.width}" height="{o.height}" '
-            f'viewBox="0 0 {o.width} {o.height}">',
-            f'<rect x="0" y="0" width="{o.width}" height="{o.height}" fill="#ffffff"/>',
+            f'width="{_WIDTH}" height="{_HEIGHT}" '
+            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         ]
 
     def axes_path(self, extra_segments: Iterable[str]) -> str:
@@ -126,16 +96,15 @@ class _Frame:
         )
 
     def titles(self, title: str, x_label: str, y_label: str) -> list[str]:
-        o = self.options
         parts = []
         if title:
             parts.append(
-                f'<text x="{_fmt(o.width / 2)}" y="{_fmt(self.top - 15)}" '
+                f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(self.top - 15)}" '
                 f'font-family="sans-serif" font-size="16" text-anchor="middle">'
                 f"{_escape(title)}</text>"
             )
         parts.append(
-            f'<text x="{_fmt((self.left + self.right) / 2)}" y="{_fmt(o.height - 10)}" '
+            f'<text x="{_fmt((self.left + self.right) / 2)}" y="{_fmt(_HEIGHT - 10)}" '
             f'font-family="sans-serif" font-size="13" text-anchor="middle">'
             f"{_escape(x_label)}</text>"
         )
@@ -148,32 +117,34 @@ class _Frame:
         return parts
 
 
-def render_pplot_svg(series: PValuePlotSeries, options: PlotOptions | None = None) -> str:
+def render_pplot_svg(series: PValuePlotSeries, *, title: str = "", comment: str = "") -> str:
     """Render a rank-ordered p-value plot as SVG text.
 
     The scatter shows (rank, p) points; a solid black line marks
     p = alpha and a dashed grey line is the uniform reference running from
-    the origin to (m, 1). The title defaults to the series endpoint.
+    the origin to (m, 1).
 
     Parameters
     ----------
     series : PValuePlotSeries
-    options : PlotOptions, optional
+    title : str, optional
+        Plot title; the series endpoint when empty.
+    comment : str, optional
+        Text of an XML comment at the top of the document; none when empty.
 
     Returns
     -------
     str
         Complete SVG document.
     """
-    options = options or PlotOptions()
-    frame = _Frame(options, x_range=(0.0, float(series.m)), y_range=(0.0, 1.0))
+    frame = _Frame(x_range=(0.0, float(series.m)), y_range=(0.0, 1.0))
 
     ticks = [frame.x_tick(float(x), str(x)) for x in sorted({0, series.m // 2, series.m})]
     ticks += [frame.y_tick(y, label) for y, label in
               ((0.0, "0"), (0.25, "0.25"), (0.5, "0.5"), (0.75, "0.75"), (1.0, "1"))]
     tick_segments, tick_texts = zip(*ticks)
 
-    parts = frame.open_svg()
+    parts = frame.open_svg(comment)
     parts.append(frame.axes_path(tick_segments))
     parts.extend(tick_texts)
     # Uniform reference from the origin to (m, 1), then the alpha threshold.
@@ -185,16 +156,12 @@ def render_pplot_svg(series: PValuePlotSeries, options: PlotOptions | None = Non
     )
     parts.append(frame.h_ref_line(series.alpha, "#000000"))
     px, py = frame.px, frame.py
-    tail = f' r="{_fmt(options.point_radius)}" fill="#336699"/>'
+    tail = f' r="{_fmt(_POINT_RADIUS)}" fill="#336699"/>'
     parts += [
         f'<circle cx="{_fmt(px(float(rank)))}" cy="{_fmt(py(p))}"{tail}'
         for rank, p in enumerate(series.p, start=1)
     ]
-    parts.extend(
-        frame.titles(
-            options.title or series.endpoint, "rank (smallest to largest)", "p-value"
-        )
-    )
+    parts.extend(frame.titles(title or series.endpoint, "rank (smallest to largest)", "p-value"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -202,7 +169,9 @@ def render_pplot_svg(series: PValuePlotSeries, options: PlotOptions | None = Non
 def render_volcano_svg(
     points: list[VolcanoPoint],
     bonferroni_y: float,
-    options: PlotOptions | None = None,
+    *,
+    title: str = "",
+    comment: str = "",
 ) -> str:
     """Render a volcano plot as SVG text.
 
@@ -217,7 +186,10 @@ def render_volcano_svg(
         At least one point.
     bonferroni_y : float
         Height of the multiplicity-adjusted reference line.
-    options : PlotOptions, optional
+    title : str, optional
+        Plot title; none when empty.
+    comment : str, optional
+        Text of an XML comment at the top of the document; none when empty.
 
     Returns
     -------
@@ -226,7 +198,6 @@ def render_volcano_svg(
     """
     if not points:
         raise ValidationError("cannot render a volcano plot with no points")
-    options = options or PlotOptions()
     x_extent = max(abs(point.effect) for point in points)
     if x_extent == 0.0:
         x_extent = 1.0
@@ -235,7 +206,7 @@ def render_volcano_svg(
     if y_extent == 0.0:
         y_extent = 1.0
     y_extent *= 1.1
-    frame = _Frame(options, x_range=(-x_extent, x_extent), y_range=(0.0, y_extent))
+    frame = _Frame(x_range=(-x_extent, x_extent), y_range=(0.0, y_extent))
 
     ticks = [frame.x_tick(x, _fmt(x)) for x in (-x_extent / 1.1, 0.0, x_extent / 1.1)]
     ticks += [frame.y_tick(y, _fmt(y)) for y in (0.0, y_extent / 2.0, y_extent / 1.1)]
@@ -244,7 +215,7 @@ def render_volcano_svg(
     zero_x = frame.px(0.0)
     zero_guide = f"M{_fmt(zero_x)} {_fmt(frame.bottom)} L{_fmt(zero_x)} {_fmt(frame.top)}"
 
-    parts = frame.open_svg()
+    parts = frame.open_svg(comment)
     parts.append(frame.axes_path([*tick_segments, zero_guide]))
     parts.extend(tick_texts)
     parts.append(frame.h_ref_line(bonferroni_y, "#000000", dashed=True))
@@ -252,13 +223,13 @@ def render_volcano_svg(
         cx, cy = frame.px(point.effect), frame.py(point.neg_log10_p)
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'r="{_fmt(options.point_radius)}" fill="#993333"/>'
+            f'r="{_fmt(_POINT_RADIUS)}" fill="#993333"/>'
         )
         if point.label:
             parts.append(
                 f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" font-family="sans-serif" '
                 f'font-size="11">{_escape(point.label)}</text>'
             )
-    parts.extend(frame.titles(options.title, "log risk ratio", "-log10(p)"))
+    parts.extend(frame.titles(title, "log risk ratio", "-log10(p)"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

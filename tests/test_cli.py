@@ -58,6 +58,21 @@ def test_spaces_does_not_mutate_input(tmp_path):
     assert copy.read_bytes() == before
 
 
+def test_spaces_too_long_to_print_is_one_stderr_line(tmp_path, capsys):
+    # 4000 digits parse, but their 8000-digit product is past Python's int -> str limit.
+    digits = "7" * 4000
+    counts = tmp_path / "c.csv"
+    counts.write_text(
+        f"citation,author,outcomes,predictors,covariates,lags\n1,a,{digits},{digits},0,1\n"
+    )
+    assert run(["spaces", "--in", str(counts)], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: {counts}: row 2: space1=<integer of more than 4300 digits> "
+        "exceeds the 64-bit range (citation 1)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 # ----------------------------------------------------------------- pplot
 
 
@@ -253,6 +268,16 @@ def test_pfromci_empty_is_validation_error(tmp_path, capsys):
     code = run(["pfromci", "--in", str(empty)], tmp_path)
     assert code == 2
     assert "no rows" in capsys.readouterr().err
+
+
+def test_pfromci_failure_leaves_no_out_directory(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("label,rr,ci_low,ci_high\na,1.1,1.1,1.1\n")
+    assert run(["pfromci", "--in", str(flat)], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: a: interval has zero width, cannot recover a standard error\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 # -------------------------------------------------------------- simulate
@@ -573,6 +598,7 @@ def test_out_of_memory_is_one_stderr_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
     )
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_draw_memory_does_not_grow_with_search_space():

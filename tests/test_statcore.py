@@ -16,6 +16,7 @@ from metaaudit import (
     StudyCounts,
     ValidationError,
     bonferroni_line,
+    compute_space,
     fwer,
     i2,
     normal_cdf,
@@ -361,6 +362,32 @@ def test_numbers_past_the_float_range_are_validation_errors(name, build):
         ValidationError, match=f"^{name} must be finite, got a number past the float range$"
     ):
         build(10**400)
+
+
+LONG = 10**5000  # past Python's 4300-digit limit on int -> str
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimConfig(regime="null", m=-LONG, seed=1),
+         "m must be at least 1, got <negative integer of more than 4300 digits>"),
+        (lambda: SimConfig(regime="null", m=5, seed=LONG),
+         "seed must lie in [0, 2**64), got <integer of more than 4300 digits>"),
+        (lambda: StudyCounts(1, "a", -LONG, 1, 0, 1),
+         "outcomes must be at least 1, got <negative integer of more than 4300 digits> "
+         "(citation 1)"),
+        (lambda: compute_space(StudyCounts(1, "a", 1, 1, LONG, 1)),
+         "2**<integer of more than 4300 digits> exceeds the 64-bit range (citation 1)"),
+        (lambda: PValueRecord(citation=LONG, author="a", endpoint="e", p=2.0),
+         "p must lie in (0, 1], got 2.0 (citation <integer of more than 4300 digits>)"),
+    ],
+    ids=["m", "seed", "outcomes", "covariates", "citation"],
+)
+def test_integers_too_long_to_print_are_validation_errors(build, message):
+    with pytest.raises(ValidationError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("bad", [True, "3"])

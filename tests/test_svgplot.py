@@ -4,7 +4,6 @@ import pytest
 
 from metaaudit import (
     PValueRecord,
-    PlotOptions,
     ValidationError,
     VolcanoPoint,
     build_pplot,
@@ -83,29 +82,27 @@ def test_pplot_escapes_labels():
     assert ">a&amp;lt;b</text>" in render_pplot_svg(series_from([0.5], endpoint="a&lt;b"))
     points = [VolcanoPoint(label="NO2 <lag 0&1>", effect=0.1, neg_log10_p=1.1)]
     title = "risk ratios > 1 & &gt;"
-    svg = render_volcano_svg(points, 1.3, PlotOptions(title=title))
+    svg = render_volcano_svg(points, 1.3, title=title)
     assert f">{escape(points[0].label)}</text>" in svg
     assert f">{escape(title)}</text>" in svg
     assert "<lag" not in svg and "> 1 &" not in svg
 
 
 def test_pplot_options_respected(ozone_series):
-    svg = render_pplot_svg(
-        ozone_series, PlotOptions(width=400, height=300, margin=30, title="custom")
-    )
-    assert 'width="400" height="300"' in svg
+    svg = render_pplot_svg(ozone_series, title="custom")
     assert ">custom</text>" in svg
     assert ">ozone</text>" not in svg
+    # title and comment are keyword-only, so a stray positional argument is refused.
+    with pytest.raises(TypeError):
+        render_pplot_svg(ozone_series, "custom")
+    with pytest.raises(TypeError):
+        render_volcano_svg([VolcanoPoint(label="", effect=0.1, neg_log10_p=1.1)], 1.3, "custom")
 
 
 def test_pplot_comment_embedded(ozone_series):
-    svg = render_pplot_svg(ozone_series, PlotOptions(comment="case data -- draft"))
+    svg = render_pplot_svg(ozone_series, comment="case data -- draft")
     assert "<!-- case data - - draft -->" in svg  # double dash sanitized
-
-
-def test_plot_options_margin_validation():
-    with pytest.raises(ValidationError):
-        PlotOptions(width=200, height=100, margin=60)
+    assert "<!--" not in render_pplot_svg(ozone_series)
 
 
 # --------------------------------------------------------------- volcano

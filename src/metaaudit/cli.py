@@ -29,7 +29,7 @@ from typing import Iterable, NoReturn, Sequence
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .errors import InsufficientDataError, ValidationError
 from .searchspace import SpaceSummary, StudyCounts, compute_space, summarize_spaces
-from .statcore import BackCalcResult, EffectEstimate, _require_open_unit, p_from_estimate
+from .statcore import BackCalcResult, EffectEstimate, p_from_estimate
 
 __all__ = ["main"]
 
@@ -95,7 +95,7 @@ def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, 
     return summary, summary_csv
 
 
-def cmd_spaces(args: argparse.Namespace) -> int:
+def cmd_spaces(args: argparse.Namespace) -> None:
     records = _load_rows(datasets.load_counts, args.infile)
     summary, summary_csv = _write_spaces(_out_dir(args, "spaces"), records)
     print(summary_csv, end="")
@@ -108,7 +108,6 @@ def cmd_spaces(args: argparse.Namespace) -> int:
         for i, stat in enumerate(_STATS)
     ]
     print(_text_table(_SUMMARY_COLUMNS, rows))
-    return 0
 
 
 # ----------------------------------------------------------------- pplot
@@ -133,76 +132,78 @@ def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> list:
     return row
 
 
-def _write_pplot(out: Path, series: diagnostics.PValuePlotSeries, comment: str) -> None:
-    """Write pplot_<endpoint>.csv and .svg; the endpoint label must be one file name."""
+def _check_labels(plots: Sequence[diagnostics.PValuePlotSeries]) -> None:
+    """Each endpoint label becomes part of a file name, so it must be one name."""
     # A separator would add directories to the path, and no file name may hold NUL.
-    if any(char in series.endpoint for char in ("/", "\\", "\0")):
-        raise ValidationError(
-            f"endpoint {series.endpoint!r} cannot be part of an output file name: "
-            "it contains '/', '\\' or NUL"
-        )
-    # Joined by hand, not by the dataset writer: every cell is a number, so none
-    # needs quoting, and csv.writer took about 1.5 times as long on 79,600
-    # (rank, p) rows (Python 3.11, 2-vCPU x86-64 VM). A generator, so that no
-    # list of rows stays alive while the SVG renders.
-    rows = (f"{rank},{p!r}" for rank, p in enumerate(series.p, start=1))
-    _write(out / f"pplot_{series.endpoint}.csv", "\n".join(["rank,p", *rows]) + "\n")
-    svg = svgplot.render_pplot_svg(series, comment=comment)
-    _write(out / f"pplot_{series.endpoint}.svg", svg)
+    for series in plots:
+        if any(char in series.endpoint for char in ("/", "\\", "\0")):
+            raise ValidationError(
+                f"endpoint {series.endpoint!r} cannot be part of an output file name: "
+                "it contains '/', '\\' or NUL"
+            )
 
 
-def cmd_pplot(args: argparse.Namespace) -> int:
+def _write_pplots(
+    out: Path, plots: Sequence[diagnostics.PValuePlotSeries], source: str = ""
+) -> str:
+    """Write pplot_<endpoint>.csv and .svg per series, then diagnostics.csv; return its text."""
+    for series in plots:
+        # Joined by hand, not by the dataset writer: every cell is a number, so none
+        # needs quoting, and csv.writer took about 1.5 times as long on 79,600
+        # (rank, p) rows (Python 3.11, 2-vCPU x86-64 VM). A generator, so that no
+        # list of rows stays alive while the SVG renders.
+        rows = (f"{rank},{p!r}" for rank, p in enumerate(series.p, start=1))
+        _write(out / f"pplot_{series.endpoint}.csv", "\n".join(["rank,p", *rows]) + "\n")
+        comment = f"p-value plot, endpoint {series.endpoint}{source}"
+        _write(out / f"pplot_{series.endpoint}.svg",
+               svgplot.render_pplot_svg(series, comment=comment))
+    return _write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, map(_diagnostics_row, plots))
+
+
+def cmd_pplot(args: argparse.Namespace) -> None:
     # Every row is validated; only the plotted endpoint's p-values are kept.
     p = [p for _, _, endpoint, p, _, _ in datasets._pvalue_rows(args.infile)
          if endpoint == args.endpoint]
     series = diagnostics.PValuePlotSeries(args.endpoint, p, args.alpha)
-    out = _out_dir(args, "pplot")
-    _write_pplot(out, series, f"p-value plot, endpoint {series.endpoint}")
-    diag_csv = _write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, [_diagnostics_row(series)])
-    print(diag_csv, end="")
+    _check_labels([series])
+    print(_write_pplots(_out_dir(args, "pplot"), [series]), end="")
     print(
         f"endpoint {series.endpoint}: m={series.m}, "
         f"fraction of p <= {series.alpha:g}: {series.frac_le_alpha:.3f}"
     )
-    return 0
 
 
 # --------------------------------------------------------------- volcano
 
 
-def _write_volcano(
-    out: Path,
-    points: list[diagnostics.VolcanoPoint],
-    bonferroni_y: float,
-    comment: str,
-    title: str = "",
-) -> str:
+def _write_volcano(out: Path, points: list[diagnostics.VolcanoPoint], bonferroni_y: float,
+                   alpha: float, m_tests: int, source: str = "", title: str = "") -> str:
     """Write volcano.csv and volcano.svg; return the CSV text."""
     rows = ((point.label, point.effect, point.neg_log10_p) for point in points)
     csv_text = _write_csv(out / "volcano.csv", ("label", "effect", "neg_log10_p"), rows)
+    comment = f"volcano plot{source}, alpha {alpha:g}, m_tests {m_tests}"
     svg = svgplot.render_volcano_svg(points, bonferroni_y, title=title, comment=comment)
     _write(out / "volcano.svg", svg)
     return csv_text
 
 
-def cmd_volcano(args: argparse.Namespace) -> int:
+def cmd_volcano(args: argparse.Namespace) -> None:
     estimates = _load_rows(datasets.load_effects, args.infile)
     m_tests = args.m_tests if args.m_tests is not None else len(estimates)
     points, bonferroni_y = diagnostics.build_volcano(estimates, args.alpha, m_tests)
-    comment = f"volcano plot, alpha {args.alpha:g}, m_tests {m_tests}"
-    csv_text = _write_volcano(_out_dir(args, "volcano"), points, bonferroni_y, comment)
+    out = _out_dir(args, "volcano")
+    csv_text = _write_volcano(out, points, bonferroni_y, args.alpha, m_tests)
 
     print(csv_text, end="")
     rows = [[p.label, f"{p.effect:.4f}", f"{p.neg_log10_p:.3f}"] for p in points]
     print(_text_table(["label", "log_rr", "-log10(p)"], rows))
     print(f"reference line -log10({args.alpha:g}/{m_tests}) = {bonferroni_y:.3f}")
-    return 0
 
 
 # ------------------------------------------------------------------ pool
 
 
-def cmd_pool(args: argparse.Namespace) -> int:
+def cmd_pool(args: argparse.Namespace) -> None:
     estimates = _load_rows(datasets.load_effects, args.infile)
     if args.method == "fixed":
         result = pooling.pool_fixed(estimates)
@@ -233,7 +234,6 @@ def cmd_pool(args: argparse.Namespace) -> int:
         f"({math.exp(result.ci_low):.4f} to {math.exp(result.ci_high):.4f}), "
         f"Q={result.q_stat:.3f}, tau2={result.tau2:.5f}, I2={result.i2_percent:.1f}%"
     )
-    return 0
 
 
 # --------------------------------------------------------------- pfromci
@@ -250,7 +250,7 @@ def _write_backcalc(
     return _write_csv(out / "backcalc.csv", ("label", "log_effect", "se", "z", "p"), rows)
 
 
-def cmd_pfromci(args: argparse.Namespace) -> int:
+def cmd_pfromci(args: argparse.Namespace) -> None:
     estimates = _load_rows(datasets.load_effects, args.infile)
     backs = [p_from_estimate(estimate) for estimate in estimates]
     csv_text = _write_backcalc(_out_dir(args, "pfromci"), estimates, backs)
@@ -262,7 +262,6 @@ def cmd_pfromci(args: argparse.Namespace) -> int:
         for estimate, back in zip(estimates, backs)
     ]
     print(_text_table(["label", "log_rr", "se", "z", "p"], rows))
-    return 0
 
 
 # -------------------------------------------------------------- simulate
@@ -342,7 +341,7 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
     return cfg
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> None:
     cfg = _build_sim_config(args)
     p = simulate.draw_pvalues(cfg)
     out = _out_dir(args, "simulate")
@@ -367,7 +366,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except InsufficientDataError as exc:
         print(f"regime {cfg.regime}: wrote {cfg.replicates} replicate(s) of m={cfg.m} "
               f"p-values ({exc})")
-        return 0
+        return
     csv_text = _write_csv(out / "shape_stats.csv", simulate.ShapeStats._fields, [stats])
     print(csv_text, end="")
     print(
@@ -375,46 +374,41 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"mean KS D {stats.mean_ks_d:.4f}, "
         f"mean bilinearity ratio {stats.mean_bilinearity_ratio:.4f}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------- report
 
+# The writers' ``source`` in report: each SVG comment names the data after what it plots.
+_CASE_STUDY = ", case-study dataset"
 
-def cmd_report(args: argparse.Namespace) -> int:
+
+def cmd_report(args: argparse.Namespace) -> None:
     if not args.fixtures:
         raise ValidationError(
             "report runs on the bundled case-study dataset; pass --fixtures"
         )
-    # build_pplot checks alpha too, but only after the first tables are
-    # written; checking first keeps a bad value from leaving a partial bundle.
-    _require_open_unit("alpha", args.alpha)
-    out = _out_dir(args, "report")
     dataset = datasets.load_case_dataset()
-    _write_spaces(out, dataset.counts)
-
     described = diagnostics.descriptives(dataset.pvalues)
+    plots = [diagnostics.build_pplot(dataset.pvalues, endpoint, args.alpha)
+             for endpoint in described]
+    _check_labels(plots)
+    backs = [p_from_estimate(estimate) for estimate in dataset.effects]
+    m_tests = len(dataset.effects)
+    points, bonferroni_y = diagnostics.build_volcano(dataset.effects, args.alpha, m_tests)
+
+    out = _out_dir(args, "report")
+    _write_spaces(out, dataset.counts)
     desc_columns = ("endpoint", *diagnostics.EndpointDescriptives._fields)
     desc_rows = [(endpoint, *stats) for endpoint, stats in described.items()]
     _write_csv(out / "descriptives.csv", desc_columns, desc_rows)
-
-    diag_rows = []
-    for endpoint in described:
-        series = diagnostics.build_pplot(dataset.pvalues, endpoint=endpoint, alpha=args.alpha)
-        _write_pplot(out, series, f"p-value plot, endpoint {endpoint}, case-study dataset")
-        diag_rows.append(_diagnostics_row(series))
-    _write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, diag_rows)
-
-    _write_backcalc(out, dataset.effects, map(p_from_estimate, dataset.effects))
-    m_tests = len(dataset.effects)
-    points, bonferroni_y = diagnostics.build_volcano(dataset.effects, args.alpha, m_tests)
-    comment = f"volcano plot, case-study dataset, alpha {args.alpha:g}, m_tests {m_tests}"
-    _write_volcano(out, points, bonferroni_y, comment, title="pooled risk ratios")
+    _write_pplots(out, plots, _CASE_STUDY)
+    _write_backcalc(out, dataset.effects, backs)
+    _write_volcano(out, points, bonferroni_y, args.alpha, m_tests, _CASE_STUDY,
+                   title="pooled risk ratios")
 
     total = sum(stats.count for stats in described.values())
     print(_text_table(desc_columns, [[str(cell) for cell in row] for row in desc_rows]))
     print(f"total reported p-values: {total}")
-    return 0
 
 
 # ------------------------------------------------------------------ main
@@ -495,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -506,6 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -223,6 +223,17 @@ def test_pplot_endpoint_label_must_be_one_file_name(tmp_path, capsys, label):
     assert not any((out / "pplot_x").iterdir())
 
 
+def test_pplot_bad_endpoint_label_creates_no_out_directory(tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text(f"{PVALUES_HEADER}\n1,a,a/b,0.01,false\n")
+    assert run(["pplot", "--in", str(data), "--endpoint", "a/b"], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: endpoint 'a/b' cannot be part of an output file name: "
+        "it contains '/', '\\' or NUL\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 # --------------------------------------------------------------- volcano
 
 
@@ -366,6 +377,14 @@ def test_simulate_repeated_config_key(tmp_path, capsys):
     code = run(["simulate", "--in", str(cfg)], tmp_path)
     assert code == 2
     assert capsys.readouterr().err == f"error: {cfg}: line 5: key 'm' repeats line 2\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_config_line_without_equals(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("regime=null\nm 5\nseed=4\n")
+    assert run(["simulate", "--in", str(cfg)], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: expected key=value, got 'm 5'\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -660,13 +679,13 @@ def test_report_rerun_is_byte_identical(tmp_path):
 # --------------------------------------------------------------- imports
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_fresh(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(metaaudit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, check=True, timeout=120,
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=check, timeout=120,
     )
 
 
@@ -676,7 +695,7 @@ def test_cli_import_loads_no_scipy():
         "import metaaudit.cli, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert run_fresh(code).stdout == "[]\n"
+    assert run_fresh("-c", code).stdout == "[]\n"
 
 
 def test_array_free_commands_load_no_numpy(tmp_path):
@@ -702,7 +721,27 @@ runs = [
 codes = [main(argv + ["--out", out + "/" + argv[0]]) for argv in runs]
 print(bare, codes, sorted(m for m in {heavy!r} if m in sys.modules), file=sys.stderr)
 """
-    assert run_fresh(code).stderr == "[] [0, 0, 0, 0, 0, 0, 0] []\n"
+    assert run_fresh("-c", code).stderr == "[] [0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+@pytest.mark.parametrize(
+    "infile, code, err",
+    [
+        (str(case_effects_path()), 0, ""),
+        ("{tmp}/missing.csv", 1, "i/o error: [Errno 2] No such file or directory: "
+                                 "'{tmp}/missing.csv'\n"),
+        ("{tmp}/bad.csv", 2, "error: {tmp}/bad.csv: row 2: field 'rr': not a number: 'abc'\n"),
+    ],
+    ids=["ok", "missing-input", "bad-row"],
+)
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path, infile, code, err):
+    # perfbench runs every command as `python -m metaaudit.cli`.
+    (tmp_path / "bad.csv").write_text("label,rr,ci_low,ci_high\nx,abc,1.0,2.0\n")
+    out = tmp_path / "o"
+    done = run_fresh("-m", "metaaudit.cli", "pool", "--in", infile.format(tmp=tmp_path),
+                     "--method", "fixed", "--out", str(out), check=False)
+    assert (done.returncode, done.stderr) == (code, err.format(tmp=tmp_path))
+    assert (out / "pooled.csv").exists() == (code == 0)
 
 
 # ------------------------------------------------------------ CSV quoting

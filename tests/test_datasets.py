@@ -10,6 +10,7 @@ from metaaudit import (
     EffectEstimate,
     PValueRecord,
     SearchSpaceOverflowError,
+    StudyCounts,
     ValidationError,
     case_counts_path,
     case_effects_path,
@@ -231,6 +232,9 @@ def test_dataset_uniqueness_invariants():
     record = PValueRecord(citation=1, author="a", endpoint="x", p=0.5)
     with pytest.raises(ValidationError, match="duplicate"):
         Dataset(counts=[], pvalues=[record, record], effects=[])
+    counts = StudyCounts(1, "a", 1, 1, 0, 1)
+    with pytest.raises(ValidationError, match="^duplicate citation 1 in counts$"):
+        Dataset(counts=[counts, counts], pvalues=[], effects=[])
 
 
 def test_round_trip_case_dataset(tmp_path):

@@ -146,6 +146,11 @@ def test_quantile_type6_empty_is_error():
         quantile_type6([], 0.5)
 
 
+def test_quantile_type6_level_outside_unit_interval_is_error():
+    with pytest.raises(ValidationError, match=r"^q must lie in \[0, 1\], got 1\.5$"):
+        quantile_type6([1.0, 2.0], 1.5)
+
+
 # ----------------------------------------------------------------- fwer
 
 

@@ -1,5 +1,7 @@
 """Tests for the deterministic SVG renderers."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from metaaudit import (
@@ -133,6 +135,14 @@ def test_volcano_reference_line_height():
 def test_volcano_origin_point():
     svg = render_volcano_svg([VolcanoPoint(label="", effect=0.0, neg_log10_p=0.0)], 1.0)
     assert 'cx="400.00" cy="550.00"' in svg
+
+
+def test_volcano_zero_height_falls_back_to_a_unit_range():
+    # Every height is zero, one of them -0.0: there is no y-range to scale by.
+    svg = render_volcano_svg([VolcanoPoint(label="x", effect=0.1, neg_log10_p=-0.0)], 0.0)
+    ET.fromstring(svg)
+    assert "nan" not in svg
+    assert 'cy="550.00"' in svg  # the point sits on the baseline
 
 
 def test_volcano_symmetric_range():

@@ -7,26 +7,30 @@ DerSimonian-Laird random-effects weighting, and simulates p-value
 populations under null, effect, selection, and mixture regimes.
 """
 
-# Each module's __all__ is the one list of what it publishes; the package
-# re-exports them all.
-from . import datasets, diagnostics, errors, pooling, searchspace, simulate, statcore, svgplot
-from .datasets import *
-from .diagnostics import *
-from .errors import *
-from .pooling import *
-from .searchspace import *
-from .simulate import *
-from .statcore import *
-from .svgplot import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = []
-__all__ += datasets.__all__
-__all__ += diagnostics.__all__
-__all__ += errors.__all__
-__all__ += pooling.__all__
-__all__ += searchspace.__all__
-__all__ += simulate.__all__
-__all__ += statcore.__all__
-__all__ += svgplot.__all__
+# The modules whose __all__ the package re-exports, each after the modules it
+# imports. None is imported until one of its names is first used (PEP 562), so
+# each module's __all__ stays the one list of what it publishes.
+_MODULES = ("errors", "statcore", "searchspace", "diagnostics", "datasets", "pooling",
+            "svgplot", "simulate")
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        globals()[name] = [n for m in _MODULES for n in __getattr__(m).__all__]
+        return globals()[name]
+    if not (name.startswith("__") and name.endswith("__")):
+        for module in map(__getattr__, _MODULES):
+            if name in module.__all__:
+                globals()[name] = getattr(module, name)
+                return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")))

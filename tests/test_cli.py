@@ -698,6 +698,36 @@ def test_cli_import_loads_no_scipy():
     assert run_fresh("-c", code).stdout == "[]\n"
 
 
+def test_package_namespace_loads_a_module_when_one_of_its_names_is_used():
+    # `import metaaudit` loads no submodule, so a process that uses one name
+    # compiles only that name's module and the modules it imports.
+    code = """
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("metaaudit."))
+import metaaudit
+print(loaded())
+print(hasattr(metaaudit, "__wrapped__"), loaded())
+from metaaudit import compute_space
+print(loaded())
+try:
+    metaaudit.no_such_name
+except AttributeError as exc:
+    print(exc)
+namespace = {}
+exec("from metaaudit import *", namespace)
+print(len(namespace.keys() - {"__builtins__"}), all(namespace[name] is getattr(metaaudit, name)
+                                                    for name in metaaudit.__all__))
+"""
+    assert run_fresh("-c", code).stdout.splitlines() == [
+        "[]",
+        "False []",
+        "['metaaudit.errors', 'metaaudit.searchspace', 'metaaudit.statcore']",
+        "module 'metaaudit' has no attribute 'no_such_name'",
+        "58 True",
+    ]
+
+
 def test_array_free_commands_load_no_numpy(tmp_path):
     # Only simulate builds arrays, so the other six commands must run without
     # numpy, and no command needs the XML or URL libraries.

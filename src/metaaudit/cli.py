@@ -28,7 +28,7 @@ from typing import Iterable, NoReturn, Sequence
 
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .errors import InsufficientDataError, ValidationError
-from .searchspace import SpaceSummary, StudyCounts, compute_space, summarize_spaces
+from .searchspace import SpaceSummary, StudyCounts, summarize_spaces
 from .statcore import BackCalcResult, EffectEstimate, p_from_estimate
 
 __all__ = ["main"]
@@ -86,10 +86,10 @@ _SUMMARY_COLUMNS = ("statistic", "space1", "space2", "space3")
 def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, str]:
     """Write spaces.csv and space_summary.csv; return the summary and its CSV text."""
     path = out / "spaces.csv"
-    datasets.save_counts(records, path)
+    spaces = datasets.save_counts(records, path)
     print(f"# wrote {path}")
 
-    summary = summarize_spaces([compute_space(r) for r in records])
+    summary = summarize_spaces(spaces)
     rows = zip(_STATS, summary.space1, summary.space2, summary.space3)
     summary_csv = _write_csv(out / "space_summary.csv", _SUMMARY_COLUMNS, rows)
     return summary, summary_csv

@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .diagnostics import PValueRecord, _check_reported
 from .errors import ValidationError
-from .searchspace import StudyCounts, compute_space
-from .statcore import EffectEstimate
+from .searchspace import SearchSpace, StudyCounts, compute_space
+from .statcore import EffectEstimate, _Record
 
 __all__ = [
     "Dataset",
@@ -53,33 +52,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     """The three record collections plus a provenance note.
 
     ``provenance`` records where the data came from (paths and row counts)
     and is excluded from equality comparisons.
     """
 
-    counts: list[StudyCounts]
-    pvalues: list[PValueRecord]
-    effects: list[EffectEstimate]
-    provenance: str = field(compare=False, default="")
+    __slots__ = ("counts", "pvalues", "effects", "provenance")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, counts: list[StudyCounts], pvalues: list[PValueRecord],
+        effects: list[EffectEstimate], provenance: str = "",
+    ) -> None:
         seen_citations = set()
-        for record in self.counts:
+        for record in counts:
             if record.citation in seen_citations:
                 raise ValidationError(f"duplicate citation {record.citation} in counts")
             seen_citations.add(record.citation)
         seen_keys = set()
-        for record in self.pvalues:
+        for record in pvalues:
             key = (record.citation, record.endpoint)
             if key in seen_keys:
                 raise ValidationError(
                     f"duplicate (citation, endpoint) = {key} in p-value records"
                 )
             seen_keys.add(key)
+        self._set_fields((counts, pvalues, effects, provenance))
+
+    def _compared(self) -> tuple:
+        return self.counts, self.pvalues, self.effects
 
 
 def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -223,9 +225,7 @@ def load_counts(path: str | Path) -> list[StudyCounts]:
             }
             record = StudyCounts(author=row[columns["author"]], **values)
             space = compute_space(record)
-            for name, computed in zip(
-                _SPACE_COLUMNS, (space.space1, space.space2, space.space3)
-            ):
+            for name, computed in zip(_SPACE_COLUMNS, space):
                 raw = row[columns[name]] if name in columns else ""
                 printed = _parse_int(name, raw) if raw else computed
                 if printed != computed:
@@ -339,14 +339,15 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
     return records
 
 
-def save_counts(records: list[StudyCounts], path: str | Path) -> None:
-    """Write study counts as CSV, including recomputed space columns."""
+def save_counts(records: list[StudyCounts], path: str | Path) -> list[SearchSpace]:
+    """Write study counts as CSV, including recomputed space columns; return the spaces."""
+    spaces = [compute_space(r) for r in records]
     rows = (
-        (r.citation, r.author, r.outcomes, r.predictors, r.covariates, r.lags,
-         s.space1, s.space2, s.space3)
-        for r, s in zip(records, map(compute_space, records))
+        (r.citation, r.author, r.outcomes, r.predictors, r.covariates, r.lags, *s)
+        for r, s in zip(records, spaces)
     )
     _write_table(path, _COUNT_COLUMNS + _SPACE_COLUMNS, rows)
+    return spaces
 
 
 def save_pvalues(records: list[PValueRecord], path: str | Path) -> None:

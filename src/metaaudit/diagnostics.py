@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import EmptySeriesError, InsufficientDataError, ValidationError
 from .statcore import (
     _SQRT2PI,
     EffectEstimate,
+    _Record,
     _require_finite,
     _require_int,
     _require_open_unit,
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PValueRecord:
+class PValueRecord(_Record):
     """One reported p-value from one study.
 
     Attributes
@@ -73,18 +72,17 @@ class PValueRecord:
         rather than an exact value.
     """
 
-    citation: int
-    author: str
-    endpoint: str
-    p: float
-    direction_negative: bool = False
-    truncated: bool = False
+    __slots__ = ("citation", "author", "endpoint", "p", "direction_negative", "truncated")
 
-    def __post_init__(self) -> None:
-        _require_int("citation", self.citation)
-        _require_trimmed("author", self.author)
-        _require_trimmed("endpoint", self.endpoint)
-        object.__setattr__(self, "p", _check_reported(self.citation, self.endpoint, self.p))
+    def __init__(
+        self, citation: int, author: str, endpoint: str, p: float,
+        direction_negative: bool = False, truncated: bool = False,
+    ) -> None:
+        _require_int("citation", citation)
+        _require_trimmed("author", author)
+        _require_trimmed("endpoint", endpoint)
+        p = _check_reported(citation, endpoint, p)
+        self._set_fields((citation, author, endpoint, p, direction_negative, truncated))
 
 
 def _check_reported(citation: int, endpoint: str, p: float) -> float:
@@ -97,8 +95,7 @@ def _check_reported(citation: int, endpoint: str, p: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PValuePlotSeries:
+class PValuePlotSeries(_Record):
     """Rank-ordered p-values for one endpoint.
 
     ``p`` is stored sorted ascending, so ``p[i]`` has rank ``i + 1``;
@@ -107,22 +104,20 @@ class PValuePlotSeries:
     an empty ``p`` raises :class:`EmptySeriesError`.
     """
 
-    endpoint: str
-    p: tuple[float, ...]
-    alpha: float = 0.05
+    __slots__ = ("endpoint", "p", "alpha")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _require_open_unit("alpha", self.alpha))
-        p = sorted(map(float, self.p))
+    def __init__(self, endpoint: str, p: Iterable[float], alpha: float = 0.05) -> None:
+        alpha = _require_open_unit("alpha", alpha)
+        p = sorted(map(float, p))
         # Every value: a NaN leaves the sort out of order, so the ends prove nothing.
         bad = [value for value in p if not 0.0 < value <= 1.0]
         if bad:
             raise ValidationError(
-                f"p must lie in (0, 1], got {bad[0]!r} (endpoint {self.endpoint!r})"
+                f"p must lie in (0, 1], got {bad[0]!r} (endpoint {endpoint!r})"
             )
-        object.__setattr__(self, "p", tuple(p))
-        if not self.p:
-            raise EmptySeriesError(f"no p-value records for endpoint {self.endpoint!r}")
+        if not p:
+            raise EmptySeriesError(f"no p-value records for endpoint {endpoint!r}")
+        self._set_fields((endpoint, tuple(p), alpha))
 
     @property
     def m(self) -> int:
@@ -155,8 +150,7 @@ class BilinearityFit(NamedTuple):
     ratio: float
 
 
-@dataclass(frozen=True)
-class VolcanoPoint:
+class VolcanoPoint(NamedTuple):
     """One study on the volcano plot: log effect size against -log10 p."""
 
     label: str

@@ -19,7 +19,7 @@ inconsistency in meta-analyses. BMJ 327:557-560.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .statcore import EffectEstimate, _require_finite, _require_int, p_from_estimate, z_crit
@@ -27,8 +27,7 @@ from .statcore import EffectEstimate, _require_finite, _require_int, p_from_esti
 __all__ = ["PooledResult", "i2", "pool_fixed", "pool_random_dl"]
 
 
-@dataclass(frozen=True)
-class PooledResult:
+class PooledResult(NamedTuple):
     """Pooled estimate plus heterogeneity statistics.
 
     Attributes

@@ -11,11 +11,10 @@ p-value at face value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InsufficientDataError, SearchSpaceOverflowError, ValidationError
-from .statcore import _require_int, _require_trimmed, _shown, quantile_type6
+from .statcore import _Record, _require_int, _require_trimmed, _shown, quantile_type6
 
 __all__ = [
     "SearchSpace",
@@ -32,8 +31,7 @@ _INT64_MAX = 2**63 - 1
 _MAX_COVARIATES = 62
 
 
-@dataclass(frozen=True)
-class StudyCounts:
+class StudyCounts(_Record):
     """Variable counts extracted from one study.
 
     Attributes
@@ -49,35 +47,32 @@ class StudyCounts:
         Number of optional adjustment covariates; at least 0.
     """
 
-    citation: int
-    author: str
-    outcomes: int
-    predictors: int
-    covariates: int
-    lags: int
+    __slots__ = ("citation", "author", "outcomes", "predictors", "covariates", "lags")
 
-    def __post_init__(self) -> None:
-        _require_int("citation", self.citation)
-        if not self.author:
+    def __init__(
+        self, citation: int, author: str, outcomes: int, predictors: int, covariates: int,
+        lags: int,
+    ) -> None:
+        _require_int("citation", citation)
+        if not author:
             raise ValidationError("author must be a non-empty string")
-        _require_trimmed("author", self.author)
+        _require_trimmed("author", author)
         # The bounds are checked here, not by _require_int, to name the citation.
-        for name in ("outcomes", "predictors", "lags"):
-            value = _require_int(name, getattr(self, name))
-            if value < 1:
+        for name, value in (("outcomes", outcomes), ("predictors", predictors), ("lags", lags)):
+            if _require_int(name, value) < 1:
                 raise ValidationError(
                     f"{name} must be at least 1, got {_shown(value)} "
-                    f"(citation {_shown(self.citation)})"
+                    f"(citation {_shown(citation)})"
                 )
-        if _require_int("covariates", self.covariates) < 0:
+        if _require_int("covariates", covariates) < 0:
             raise ValidationError(
-                f"covariates must be non-negative, got {_shown(self.covariates)} "
-                f"(citation {_shown(self.citation)})"
+                f"covariates must be non-negative, got {_shown(covariates)} "
+                f"(citation {_shown(citation)})"
             )
+        self._set_fields((citation, author, outcomes, predictors, covariates, lags))
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(NamedTuple):
     """Search-space sizes for one study.
 
     ``space1`` counts outcome/predictor/lag combinations, ``space2`` counts
@@ -122,8 +117,7 @@ def compute_space(counts: StudyCounts) -> SearchSpace:
     return SearchSpace(space1=space1, space2=space2, space3=space3)
 
 
-@dataclass(frozen=True)
-class SpaceSummary:
+class SpaceSummary(NamedTuple):
     """Five-number summaries of the three search spaces across studies.
 
     Each field is a ``(min, q1, median, q3, max)`` tuple. Minima and maxima

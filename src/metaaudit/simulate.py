@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diagnostics import _FIT_MIN_M, _SSE_LINEAR_EPS, PValueRecord
 from .errors import InsufficientDataError, ValidationError
-from .statcore import _SQRT2, P_FLOOR, _require_finite, _require_int, _shown
+from .statcore import _SQRT2, P_FLOOR, _Record, _require_finite, _require_int, _shown
 
 # numpy is imported inside the functions that build or read arrays, so that
 # commands which never touch one start without paying for its import.
@@ -55,8 +54,7 @@ RECORD_AUTHOR = "sim"
 _MIN_REPLICATES = 100
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Configuration of one simulation run.
 
     Attributes
@@ -82,16 +80,16 @@ class SimConfig:
         ``"phack"`` (default) or ``"effect"``.
     """
 
-    regime: str
-    m: int
-    seed: int
-    delta: float | None = None
-    s_tests: int = 1
-    pi_mix: float = 0.0
-    replicates: int = 1
-    mix_component: str = "phack"
+    __slots__ = (
+        "regime", "m", "seed", "delta", "s_tests", "pi_mix", "replicates", "mix_component",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, regime: str, m: int, seed: int, delta: float | None = None, s_tests: int = 1,
+        pi_mix: float = 0.0, replicates: int = 1, mix_component: str = "phack",
+    ) -> None:
+        # Stored first: the delta check asks reads(), which reads the stored fields.
+        self._set_fields((regime, m, seed, delta, s_tests, pi_mix, replicates, mix_component))
         if self.regime not in REGIMES:
             raise ValidationError(
                 f"regime must be one of {', '.join(REGIMES)}; got {self.regime!r}"

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 from .errors import DegenerateIntervalError, InsufficientDataError, ValidationError
@@ -41,7 +39,6 @@ P_FLOOR = 1e-300
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_STANDARD_NORMAL = NormalDist()
 
 
 def _shown(value: object) -> str:
@@ -88,6 +85,53 @@ def _require_int(name: str, value: int, minimum: int | None = None) -> int:
     return value
 
 
+# The records' own __setattr__ refuses every field; this one stores them.
+_object_setattr = object.__setattr__
+
+
+class _Record:
+    """Base of the validated records: immutable, compared, hashed and shown by field.
+
+    A subclass names its fields in ``__slots__``, in order, and its
+    ``__init__`` checks its arguments and stores the fields with
+    ``_set_fields``. Copying and unpickling store them the same way, without
+    checking them again.
+    """
+
+    __slots__ = ()
+
+    def _set_fields(self, values: tuple) -> None:
+        for name, value in zip(self.__slots__, values):
+            _object_setattr(self, name, value)
+
+    __setstate__ = _set_fields
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _compared(self) -> tuple:
+        """The field values that ``==`` and ``hash`` go by."""
+        return self.__getstate__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal cumulative distribution function.
 
@@ -126,7 +170,11 @@ def normal_quantile(q: float) -> float:
     if q > 0.5:
         # 1 - q is exact here, and the lower tail keeps relative accuracy.
         return -normal_quantile(1.0 - q)
-    x = _STANDARD_NORMAL.inv_cdf(q)
+    # Imported here, its one use, so that commands which never need a quantile
+    # start without loading statistics and the fractions and decimal it imports.
+    from statistics import NormalDist
+
+    x = NormalDist().inv_cdf(q)
     # One Newton step on Phi(x) - q. Near the centre the residual is taken
     # through erf against q - 0.5 (exact) to avoid cancellation in Phi - q.
     if q > 0.25:
@@ -210,8 +258,7 @@ def bonferroni_line(alpha: float, m_tests: int) -> BonferroniLine:
     return BonferroniLine(threshold=threshold, neg_log10=-math.log10(threshold))
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
+class EffectEstimate(_Record):
     """A published risk ratio with its confidence interval.
 
     Attributes
@@ -226,32 +273,27 @@ class EffectEstimate:
         Coverage of the interval, strictly between 0 and 1 (default 0.95).
     """
 
-    label: str
-    rr: float
-    ci_low: float
-    ci_high: float
-    level: float = 0.95
+    __slots__ = ("label", "rr", "ci_low", "ci_high", "level")
 
-    def __post_init__(self) -> None:
-        _require_trimmed("label", self.label)
-        values = {}
-        for name in ("rr", "ci_low", "ci_high"):
-            value = values[name] = _require_finite(name, getattr(self, name))
+    def __init__(
+        self, label: str, rr: float, ci_low: float, ci_high: float, level: float = 0.95
+    ) -> None:
+        _require_trimmed("label", label)
+        checked = []
+        for name, value in (("rr", rr), ("ci_low", ci_low), ("ci_high", ci_high)):
+            value = _require_finite(name, value)
             if value <= 0.0:
                 raise ValidationError(
                     f"{name} must be positive for a ratio estimate, got {value!r}"
                 )
-        values["level"] = _require_open_unit("level", self.level)
-        if not values["ci_low"] <= values["rr"] <= values["ci_high"]:
-            raise ValidationError(
-                f"interval [{self.ci_low}, {self.ci_high}] does not bracket rr={self.rr}"
-            )
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+            checked.append(value)
+        checked.append(_require_open_unit("level", level))
+        if not checked[1] <= checked[0] <= checked[2]:
+            raise ValidationError(f"interval [{ci_low}, {ci_high}] does not bracket rr={rr}")
+        self._set_fields((label, *checked))
 
 
-@dataclass(frozen=True)
-class BackCalcResult:
+class BackCalcResult(NamedTuple):
     """Log-scale summary recovered from an :class:`EffectEstimate`.
 
     Attributes

@@ -3,7 +3,7 @@ determinism, and argument validation."""
 
 import argparse
 import csv
-import dataclasses
+import inspect
 import os
 import shutil
 import subprocess
@@ -15,8 +15,8 @@ import pytest
 
 import metaaudit
 from metaaudit import (
-    ValidationError, case_counts_path, case_effects_path, case_pvalues_path, load_pvalues,
-    simulate,
+    ValidationError, case_counts_path, case_effects_path, case_pvalues_path, compute_space,
+    load_pvalues, simulate,
 )
 from metaaudit.cli import _SETTINGS, _build_parser, main
 
@@ -48,6 +48,25 @@ def test_spaces_rerun_is_byte_identical(tmp_path):
     run(["spaces", "--in", str(case_counts_path())], tmp_path, out="a")
     run(["spaces", "--in", str(case_counts_path())], tmp_path, out="b")
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+
+
+@pytest.mark.parametrize(
+    "argv", [["spaces", "--in", str(case_counts_path())], ["report", "--fixtures"]],
+    ids=["spaces", "report"],
+)
+def test_spaces_are_computed_once_to_check_and_once_to_write(tmp_path, monkeypatch, argv):
+    # The summary is taken over the spaces save_counts wrote, not computed a third time.
+    calls = []
+
+    def counted(counts):
+        calls.append(counts.citation)
+        return compute_space(counts)
+
+    for module in (metaaudit.datasets, metaaudit.cli):
+        if hasattr(module, "compute_space"):
+            monkeypatch.setattr(module, "compute_space", counted)
+    assert run(argv, tmp_path) == 0
+    assert len(calls) == 2 * 34
 
 
 def test_spaces_does_not_mutate_input(tmp_path):
@@ -155,7 +174,7 @@ def test_pplot_builds_no_records(tmp_path, monkeypatch):
 
     monkeypatch.setattr(metaaudit.datasets, "load_pvalues", refuse)
     monkeypatch.setattr(metaaudit.diagnostics, "build_pplot", refuse)
-    monkeypatch.setattr(metaaudit.diagnostics.PValueRecord, "__post_init__", refuse)
+    monkeypatch.setattr(metaaudit.diagnostics.PValueRecord, "__init__", refuse)
     assert run(["pplot", "--in", str(case_pvalues_path()), "--endpoint", "CO"], tmp_path) == 0
 
 
@@ -546,14 +565,14 @@ def test_simulate_settings_agree_with_flags_and_sim_config():
         action.dest: action for action in subcommands.choices["simulate"]._actions
         if action.dest not in ("help", "out", "infile")
     }
-    fields = {field.name: field for field in dataclasses.fields(simulate.SimConfig)}
+    fields = inspect.signature(simulate.SimConfig).parameters
     assert set(_SETTINGS) == set(flags)
     assert {field for field, _, _ in _SETTINGS.values()} == set(fields)
     for key, (field, parse, needs) in _SETTINGS.items():
         assert flags[key].option_strings == ["--" + key.replace("_", "-")]
         assert flags[key].default is None
         assert flags[key].type in (parse, None)
-        assert (needs is not None) == (fields[field].default is dataclasses.MISSING)
+        assert (needs is not None) == (fields[field].default is inspect.Parameter.empty)
     for regime in simulate.REGIMES:
         for component in simulate.MIX_COMPONENTS:
             cfg = simulate.SimConfig(regime=regime, m=5, seed=1, delta=1.0,
@@ -752,6 +771,37 @@ codes = [main(argv + ["--out", out + "/" + argv[0]]) for argv in runs]
 print(bare, codes, sorted(m for m in {heavy!r} if m in sys.modules), file=sys.stderr)
 """
     assert run_fresh("-c", code).stderr == "[] [0, 0, 0, 0, 0, 0, 0] []\n"
+
+
+# Each command, and the modules it must not load. The records are plain
+# classes, so no command imports dataclasses (and with it inspect, ast, dis
+# and tokenize); simulate still gets inspect through numpy. statistics, with
+# the fractions and decimal it imports, is loaded only for a normal quantile.
+_UNLOADED = {
+    "spaces": (["spaces", "--in", str(case_counts_path())],
+               ("dataclasses", "inspect", "statistics")),
+    "pplot": (["pplot", "--in", str(case_pvalues_path()), "--endpoint", "ozone"],
+              ("dataclasses", "inspect", "statistics")),
+    "volcano": (["volcano", "--in", str(case_effects_path())], ("dataclasses", "inspect")),
+    "pool": (["pool", "--in", str(case_effects_path()), "--method", "dl"],
+             ("dataclasses", "inspect")),
+    "pfromci": (["pfromci", "--in", str(case_effects_path())], ("dataclasses", "inspect")),
+    "report": (["report", "--fixtures"], ("dataclasses", "inspect")),
+    "simulate": (["simulate", "--regime", "null", "--m", "6", "--replicates", "100",
+                  "--seed", "1"], ("dataclasses",)),
+}
+
+
+@pytest.mark.parametrize("command", list(_UNLOADED))
+def test_command_loads_no_dataclasses(tmp_path, command):
+    argv, unloaded = _UNLOADED[command]
+    code = f"""
+import sys
+from metaaudit.cli import main
+code = main({argv + ["--out", str(tmp_path / "out")]!r})
+print(code, sorted(m for m in {unloaded!r} if m in sys.modules), file=sys.stderr)
+"""
+    assert run_fresh("-c", code).stderr == "0 []\n"
 
 
 @pytest.mark.parametrize(

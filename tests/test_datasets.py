@@ -288,7 +288,7 @@ def test_label_starting_with_hash_round_trips(tmp_path, label):
 
 def test_saved_counts_pass_cross_check(tmp_path):
     records = load_counts(case_counts_path())
-    save_counts(records, tmp_path / "c.csv")
+    assert save_counts(records, tmp_path / "c.csv") == [compute_space(r) for r in records]
     text = (tmp_path / "c.csv").read_text()
     assert "space3" in text.splitlines()[0]
     reloaded = load_counts(tmp_path / "c.csv")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -384,7 +383,7 @@ def load_dataset(
 
 
 def _fixture_path(name: str) -> Path:
-    return Path(str(resources.files("metaaudit").joinpath("fixtures").joinpath(name)))
+    return Path(__file__).with_name("fixtures") / name
 
 
 def case_counts_path() -> Path:

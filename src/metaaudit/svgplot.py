@@ -10,8 +10,6 @@ lines, which keeps the document easy to check structurally.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .diagnostics import PValuePlotSeries, VolcanoPoint
 from .errors import ValidationError
 
@@ -32,7 +30,7 @@ def _escape(text: str) -> str:
 
 
 class _Frame:
-    """Maps data coordinates onto the pixel canvas."""
+    """Maps data coordinates onto the pixel canvas and writes the document."""
 
     left = top = float(_MARGIN)
     right = float(_WIDTH - _MARGIN)
@@ -47,26 +45,6 @@ class _Frame:
 
     def py(self, y: float) -> float:
         return self.bottom - (y - self.y0) / (self.y1 - self.y0) * (self.bottom - self.top)
-
-    def open_svg(self, comment: str) -> list[str]:
-        # "--" may not appear inside an XML comment, and the comment can hold user text.
-        safe = comment.replace("--", "- -")
-        return [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            *([f"<!-- {safe} -->"] if comment else []),
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{_WIDTH}" height="{_HEIGHT}" '
-            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        ]
-
-    def axes_path(self, extra_segments: Iterable[str]) -> str:
-        d = " ".join([
-            f"M{_fmt(self.left)} {_fmt(self.bottom)} L{_fmt(self.right)} {_fmt(self.bottom)}",
-            f"M{_fmt(self.left)} {_fmt(self.bottom)} L{_fmt(self.left)} {_fmt(self.top)}",
-            *extra_segments,
-        ])
-        return f'<path d="{d}" stroke="#000000" stroke-width="1" fill="none"/>'
 
     def x_tick(self, x: float, label: str) -> tuple[str, str]:
         px = self.px(x)
@@ -86,35 +64,55 @@ class _Frame:
         )
         return segment, text
 
-    def h_ref_line(self, y: float, stroke: str, dashed: bool = False) -> str:
-        py = self.py(y)
+    def line(self, x0: float, y0: float, x1: float, y1: float, stroke: str,
+             dashed: bool = False) -> str:
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         return (
-            f'<line x1="{_fmt(self.left)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(self.right)}" y2="{_fmt(py)}" '
+            f'<line x1="{_fmt(self.px(x0))}" y1="{_fmt(self.py(y0))}" '
+            f'x2="{_fmt(self.px(x1))}" y2="{_fmt(self.py(y1))}" '
             f'stroke="{stroke}" stroke-width="1.5"{dash}/>'
         )
 
-    def titles(self, title: str, x_label: str, y_label: str) -> list[str]:
-        parts = []
+    def document(self, ticks: list[tuple[str, str]], marks: list[str], *, title: str,
+                 x_label: str, y_label: str, comment: str, guides: tuple[str, ...] = ()) -> str:
+        """Return the SVG document: axes with ``ticks`` and ``guides``, ``marks``, titles.
+
+        The rest of the document is put around ``marks`` in place, so no
+        second list of every mark is alive while the text is joined.
+        """
+        segments, labels = zip(*ticks)
+        axes = " ".join([
+            f"M{_fmt(self.left)} {_fmt(self.bottom)} L{_fmt(self.right)} {_fmt(self.bottom)}",
+            f"M{_fmt(self.left)} {_fmt(self.bottom)} L{_fmt(self.left)} {_fmt(self.top)}",
+            *segments, *guides,
+        ])
+        # "--" may not appear inside an XML comment, and the comment can hold user text.
+        safe = comment.replace("--", "- -")
+        marks[:0] = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            *([f"<!-- {safe} -->"] if comment else []),
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+            f'<path d="{axes}" stroke="#000000" stroke-width="1" fill="none"/>',
+            *labels,
+        ]
         if title:
-            parts.append(
+            marks.append(
                 f'<text x="{_fmt(_WIDTH / 2)}" y="{_fmt(self.top - 15)}" '
                 f'font-family="sans-serif" font-size="16" text-anchor="middle">'
                 f"{_escape(title)}</text>"
             )
-        parts.append(
+        mid_y = _fmt((self.top + self.bottom) / 2)
+        marks += [
             f'<text x="{_fmt((self.left + self.right) / 2)}" y="{_fmt(_HEIGHT - 10)}" '
             f'font-family="sans-serif" font-size="13" text-anchor="middle">'
-            f"{_escape(x_label)}</text>"
-        )
-        parts.append(
-            f'<text x="15" y="{_fmt((self.top + self.bottom) / 2)}" '
-            f'font-family="sans-serif" font-size="13" text-anchor="middle" '
-            f'transform="rotate(-90 15 {_fmt((self.top + self.bottom) / 2)})">'
-            f"{_escape(y_label)}</text>"
-        )
-        return parts
+            f"{_escape(x_label)}</text>",
+            f'<text x="15" y="{mid_y}" font-family="sans-serif" font-size="13" '
+            f'text-anchor="middle" transform="rotate(-90 15 {mid_y})">{_escape(y_label)}</text>',
+            "</svg>",
+        ]
+        return "\n".join(marks) + "\n"
 
 
 def render_pplot_svg(series: PValuePlotSeries, *, title: str = "", comment: str = "") -> str:
@@ -137,33 +135,24 @@ def render_pplot_svg(series: PValuePlotSeries, *, title: str = "", comment: str 
     str
         Complete SVG document.
     """
-    frame = _Frame(x_range=(0.0, float(series.m)), y_range=(0.0, 1.0))
-
+    m = float(series.m)
+    frame = _Frame(x_range=(0.0, m), y_range=(0.0, 1.0))
     ticks = [frame.x_tick(float(x), str(x)) for x in sorted({0, series.m // 2, series.m})]
     ticks += [frame.y_tick(y, label) for y, label in
               ((0.0, "0"), (0.25, "0.25"), (0.5, "0.5"), (0.75, "0.75"), (1.0, "1"))]
-    tick_segments, tick_texts = zip(*ticks)
-
-    parts = frame.open_svg(comment)
-    parts.append(frame.axes_path(tick_segments))
-    parts.extend(tick_texts)
     # Uniform reference from the origin to (m, 1), then the alpha threshold.
-    x0, y0 = frame.px(0.0), frame.py(0.0)
-    x1, y1 = frame.px(float(series.m)), frame.py(1.0)
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-        f'stroke="#888888" stroke-width="1.5" stroke-dasharray="6 4"/>'
-    )
-    parts.append(frame.h_ref_line(series.alpha, "#000000"))
+    marks = [
+        frame.line(0.0, 0.0, m, 1.0, "#888888", dashed=True),
+        frame.line(0.0, series.alpha, m, series.alpha, "#000000"),
+    ]
     px, py = frame.px, frame.py
     tail = f' r="{_fmt(_POINT_RADIUS)}" fill="#336699"/>'
-    parts += [
+    marks += [
         f'<circle cx="{_fmt(px(float(rank)))}" cy="{_fmt(py(p))}"{tail}'
         for rank, p in enumerate(series.p, start=1)
     ]
-    parts.extend(frame.titles(title or series.endpoint, "rank (smallest to largest)", "p-value"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return frame.document(ticks, marks, title=title or series.endpoint,
+                          x_label="rank (smallest to largest)", y_label="p-value", comment=comment)
 
 
 def render_volcano_svg(
@@ -210,26 +199,21 @@ def render_volcano_svg(
 
     ticks = [frame.x_tick(x, _fmt(x)) for x in (-x_extent / 1.1, 0.0, x_extent / 1.1)]
     ticks += [frame.y_tick(y, _fmt(y)) for y in (0.0, y_extent / 2.0, y_extent / 1.1)]
-    tick_segments, tick_texts = zip(*ticks)
     # Vertical guide at zero effect, drawn as part of the axes path.
-    zero_x = frame.px(0.0)
-    zero_guide = f"M{_fmt(zero_x)} {_fmt(frame.bottom)} L{_fmt(zero_x)} {_fmt(frame.top)}"
+    zero_x = _fmt(frame.px(0.0))
+    zero_guide = f"M{zero_x} {_fmt(frame.bottom)} L{zero_x} {_fmt(frame.top)}"
 
-    parts = frame.open_svg(comment)
-    parts.append(frame.axes_path([*tick_segments, zero_guide]))
-    parts.extend(tick_texts)
-    parts.append(frame.h_ref_line(bonferroni_y, "#000000", dashed=True))
+    marks = [frame.line(-x_extent, bonferroni_y, x_extent, bonferroni_y, "#000000", dashed=True)]
     for point in points:
         cx, cy = frame.px(point.effect), frame.py(point.neg_log10_p)
-        parts.append(
+        marks.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'r="{_fmt(_POINT_RADIUS)}" fill="#993333"/>'
         )
         if point.label:
-            parts.append(
+            marks.append(
                 f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" font-family="sans-serif" '
                 f'font-size="11">{_escape(point.label)}</text>'
             )
-    parts.extend(frame.titles(title, "log risk ratio", "-log10(p)"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return frame.document(ticks, marks, title=title, x_label="log risk ratio",
+                          y_label="-log10(p)", comment=comment, guides=(zero_guide,))

@@ -804,6 +804,30 @@ print(code, sorted(m for m in {unloaded!r} if m in sys.modules), file=sys.stderr
     assert run_fresh("-c", code).stderr == "0 []\n"
 
 
+def test_import_time_lists_every_library_module():
+    # `-X importtime` times only imports that take the import statement's path,
+    # so the lazy package namespace must load its modules that way for an
+    # import profile of the CLI to charge each module its own time.
+    stderr = run_fresh("-X", "importtime", "-c", "import metaaudit.cli").stderr
+    timed = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
+    modules = ("errors", "statcore", "searchspace", "diagnostics", "datasets", "pooling",
+               "svgplot", "simulate")
+    assert {f"metaaudit.{name}" for name in modules} <= timed
+
+
+def test_report_without_site_loads_no_importlib_resources(tmp_path):
+    # The bundled fixtures are found next to the package's own files. Without
+    # site, importlib.resources would pull in tempfile, shutil, bz2, lzma,
+    # random and more just to name them.
+    code = f"""
+import sys
+from metaaudit.cli import main
+code = main(["report", "--fixtures", "--out", {str(tmp_path / "out")!r}])
+print(code, "importlib.resources" in sys.modules, file=sys.stderr)
+"""
+    assert run_fresh("-S", "-c", code).stderr == "0 False\n"
+
+
 @pytest.mark.parametrize(
     "infile, code, err",
     [

@@ -1,24 +1,33 @@
 """Property tests of the command-line contract: any input bytes and any
 integer, float or seed setting give exit 0 or 2, an exit 2 prints exactly one
 stderr line and leaves no ``--out`` directory, and no exception escapes
-``main``. Last, two invariants of the shape diagnostics on arbitrary series."""
+``main``. Then two invariants of the shape diagnostics on arbitrary series, and
+two of the statistics: the ``p_from_estimate`` round trip, and DerSimonian-Laird
+pooling with tau2 = 0 equal to fixed-effect pooling."""
 
 import bisect
 import contextlib
 import io
+import math
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metaaudit import (
+    EffectEstimate,
     PValuePlotSeries,
     bilinearity_fit,
     case_effects_path,
     case_pvalues_path,
+    p_from_estimate,
+    pool_fixed,
+    pool_random_dl,
     uniformity_ks,
+    z_crit,
 )
 from metaaudit.cli import main
 
@@ -195,3 +204,78 @@ def test_ks_distance_is_the_empirical_cdf_distance(p):
 @given(p=SERIES)
 def test_bilinearity_ratio_lies_in_the_unit_interval(p):
     assert 0.0 <= bilinearity_fit(PValuePlotSeries("x", p)).ratio <= 1.0
+
+
+def estimate(log_rr, se, level=0.95):
+    """The estimate whose interval is ``log_rr +- z_crit(level) * se`` on the log scale."""
+    crit = z_crit(level)
+    return EffectEstimate(label="t", rr=math.exp(log_rr), ci_low=math.exp(log_rr - crit * se),
+                          ci_high=math.exp(log_rr + crit * se), level=level)
+
+
+@SETTINGS
+@given(z=st.floats(-6.0, 6.0), se=st.floats(0.01, 1.0), level=st.floats(0.5, 0.999))
+def test_p_from_estimate_recovers_z_and_se(z, se, level):
+    back = p_from_estimate(estimate(z * se, se, level))
+    assert abs(back.z - z) < 1e-9
+    assert abs(back.se - se) < 1e-9
+
+
+# Why DL with tau2 = 0 can differ from fixed pooling, and by how much at most.
+# u = 2**-53 is the unit roundoff, and g(n) = n*u / (1 - n*u) bounds the relative
+# error of n roundings (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., Lemma 3.1). Both methods start from the same weights w_i = 1/se_i**2 and
+# log risk ratios y_i, and compute the same Q, so k, Q and I2 agree exactly.
+#
+# Weights: fixed pooling uses w_i; DL uses fl(1/fl(1/w_i + 0.0)) = w_i (1+e2)/(1+e1),
+# |e1|, |e2| <= u. So each DL weight is w_i (1 + d_i), with 1 + d_i in [1/rho, rho],
+# rho = (1+u)/(1-u): |d_i| <= d = rho - 1 = 2u/(1-u), about one ulp. (Here w_i is
+# itself a reciprocal, and for those 1/(1/w_i) has returned w_i in every case tried;
+# the bound does not rely on that.)
+#
+# pooled_log = fl(fl(sum fl(w_i y_i)) / fl(sum w_i)). With k - 1 roundings per sum
+# (Python 3.11's sum; the compensated sum of 3.12 is more accurate), the numerator
+# is off by at most g(k) * W * M and the denominator W = sum w_i by a factor 1 + a,
+# |a| <= g(k-1), where M = max |y_i|. As |exact mean| <= M, each method's pooled_log
+# lies within E = M (g(k)(1+u) + u + g(k-1)) / (1 - g(k-1)) of the exact weighted
+# mean of its own weights. Those two exact means differ by
+# |sum w_i d_i (y_i - mean) / sum w_i (1+d_i)| <= d * rho * (max y - min y).
+# So |pooled_log(DL) - pooled_log(fixed)| <= 2E + d * rho * (max y - min y).
+#
+# pooled_se = fl(1 / fl(sqrt(fl(sum w)))). The exact weight sums differ by a factor
+# in [1/rho, rho] and each computed sum is within 1 +- g(k-1) of its exact sum, so
+# the two computed sums differ by a factor in [1/R, R], R = rho (1+g(k-1)) / (1-g(k-1)).
+# The square root halves that, and the sqrt and division roundings add a factor in
+# [1/rho, rho] for each method: the ratio of the two pooled_se lies in [1/T, T],
+# T = rho**2 sqrt(R) <= rho**2 (1 + R) / 2, which keeps the bound a rational number.
+U = Fraction(1, 2**53)
+RHO = (1 + U) / (1 - U)
+
+
+def roundings(n):
+    return n * U / (1 - n * U)
+
+
+# Each log risk ratio within one standard error of a common value, so Q <= k
+# and tau2 is almost always 0; the rest are skipped.
+STUDIES = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.02, 2.0)),
+                   min_size=2, max_size=12)
+
+
+@SETTINGS
+@given(center=st.floats(-3.0, 3.0), studies=STUDIES)
+def test_dl_with_zero_tau2_is_fixed_effect_pooling(center, studies):
+    estimates = [estimate(center + z * se, se) for z, se in studies]
+    dl, fixed = pool_random_dl(estimates), pool_fixed(estimates)
+    assume(dl.tau2 == 0.0)
+    assert (dl.k, dl.q_stat, dl.i2_percent) == (fixed.k, fixed.q_stat, fixed.i2_percent)
+
+    logs = [Fraction(p_from_estimate(e).log_effect) for e in estimates]
+    k, d = len(logs), RHO - 1
+    e = max(map(abs, logs)) * (roundings(k) * (1 + U) + U + roundings(k - 1)) \
+        / (1 - roundings(k - 1))
+    log_bound = 2 * e + d * RHO * (max(logs) - min(logs))
+    assert abs(Fraction(dl.pooled_log) - Fraction(fixed.pooled_log)) <= log_bound
+    r = RHO * (1 + roundings(k - 1)) / (1 - roundings(k - 1))
+    se_bound = RHO**2 * (1 + r) / 2 - 1
+    assert abs(Fraction(dl.pooled_se) / Fraction(fixed.pooled_se) - 1) <= se_bound

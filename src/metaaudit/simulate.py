@@ -53,6 +53,10 @@ RECORD_AUTHOR = "sim"
 # shape_stats needs this many replicates; fewer are too noisy to summarize by a mean.
 _MIN_REPLICATES = 100
 
+# shape_stats sorts and fits rows in blocks of about this many p-values, and of at
+# least one row, so that its temporaries do not grow with the number of replicates.
+_BLOCK = 2**13
+
 
 class SimConfig(_Record):
     """Configuration of one simulation run.
@@ -128,13 +132,15 @@ class SimConfig(_Record):
         return frozenset(("regime", "m", "seed", "replicates", *specific))
 
 
-def _two_sided_p(z: np.ndarray) -> np.ndarray:
+def _two_sided_p(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2 * Phi(-|z|) of each value, in one new array or in ``out``, which may be ``z``."""
     # 2 * Phi(-|z|) = erfc(|z| / sqrt 2). A scalar math.erfc per value is cheap
     # next to the import a vectorised special-function library would cost. It runs
     # on blocks of 8192, so that no list of Python floats spans the whole array.
     import numpy as np
 
-    x = (np.abs(z) / _SQRT2).ravel()
+    x = np.abs(z, out=out)
+    x = np.divide(x, _SQRT2, out=x).ravel()
     for start in range(0, x.size, 8192):
         block = x[start:start + 8192]
         block[:] = np.fromiter(map(math.erfc, block.tolist()), float, block.size)
@@ -142,11 +148,16 @@ def _two_sided_p(z: np.ndarray) -> np.ndarray:
 
 
 def _min_p(u: np.ndarray, s_tests: int) -> np.ndarray:
+    """The uniforms ``u`` overwritten by the Beta(1, S) minimum p-values they draw."""
     # The minimum of S iid Uniform(0,1) p-values is Beta(1, S); this is its
     # inverse CDF, 1 - (1 - u)**(1/S), at the uniforms u.
     import numpy as np
 
-    return -np.expm1(np.log1p(-u) / s_tests)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, s_tests, out=u)
+    np.expm1(u, out=u)
+    return np.negative(u, out=u)
 
 
 def draw_pvalues(cfg: SimConfig) -> np.ndarray:
@@ -159,7 +170,10 @@ def draw_pvalues(cfg: SimConfig) -> np.ndarray:
     study reports the two-sided p of its normal (plus delta for an effect),
     a phack study the exact Beta(1, S) minimum p from its candidate uniform;
     a mixture study is non-null when its selection uniform is below
-    ``pi_mix``. Time and memory are O(replicates * m) for any S.
+    ``pi_mix``. Time is O(replicates * m) for any S. Each draw is overwritten
+    in place, so working memory is the output array plus, for a mixture, one
+    byte per value of selection flags and, for a phack mixture, one more
+    array of candidate uniforms.
     """
     import numpy as np
 
@@ -168,16 +182,18 @@ def draw_pvalues(cfg: SimConfig) -> np.ndarray:
         np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(3)
     )
     if cfg.regime == "phack":
-        return np.clip(_min_p(candidates.random(shape), cfg.s_tests), P_FLOOR, 1.0)
-    p = normals.standard_normal(shape)
+        p = _min_p(candidates.random(shape), cfg.s_tests)
+        return np.clip(p, P_FLOOR, 1.0, out=p)
+    # The flags come first, so the selection uniforms are freed before the normals exist.
     selected = selection.random(shape) < cfg.pi_mix if cfg.regime == "mixture" else None
+    p = normals.standard_normal(shape)
     if cfg.regime == "effect":
         p += cfg.delta
     elif selected is not None and cfg.mix_component == "effect":
-        p += cfg.delta * selected
-    p = _two_sided_p(p)
+        np.add(p, cfg.delta, out=p, where=selected)
+    p = _two_sided_p(p, out=p)
     if selected is not None and cfg.mix_component == "phack":
-        p = np.where(selected, _min_p(candidates.random(shape), cfg.s_tests), p)
+        np.copyto(p, _min_p(candidates.random(shape), cfg.s_tests), where=selected)
     return np.clip(p, P_FLOOR, 1.0, out=p)
 
 
@@ -265,7 +281,9 @@ def shape_stats(p: np.ndarray) -> ShapeStats:
     uniformity and the two-segment/one-line SSE ratio, equal to what
     ``build_pplot``, ``uniformity_ks`` and ``bilinearity_fit`` give for the
     row; the three are then averaged over rows. Needs p in (0, 1], at least
-    100 rows and ``m >= 6``.
+    100 rows and ``m >= 6``. The rows are checked, sorted and fitted a block
+    of about ``_BLOCK`` values at a time, so working memory beyond ``p`` is
+    one block's temporaries plus a few values per row.
     """
     import numpy as np
 
@@ -274,15 +292,23 @@ def shape_stats(p: np.ndarray) -> ShapeStats:
         raise InsufficientDataError(
             f"shape statistics need replicates >= {_MIN_REPLICATES} and m >= {_FIT_MIN_M}"
         )
-    if not np.all((p > 0.0) & (p <= 1.0)):
-        raise ValidationError("shape_stats needs p-values in (0, 1]")
-    p = np.sort(p, axis=1)
+    frac, ks_d, ratio = (np.empty(replicates) for _ in range(3))
+    rows = max(1, _BLOCK // m)
+    for start in range(0, replicates, rows):
+        these = slice(start, start + rows)
+        block = p[these]
+        if not np.all((block > 0.0) & (block <= 1.0)):
+            raise ValidationError("shape_stats needs p-values in (0, 1]")
+        block = np.sort(block, axis=1)
+        frac[these] = np.count_nonzero(block <= 0.05, axis=1) / m
+        ks_d[these] = _ks_d(block)
+        ratio[these] = _two_segment_fits(block)[3]
     n = float(replicates)
     # The built-in sum adds in replicate order; np.sum's pairwise order rounds differently.
     return ShapeStats(
-        mean_frac_le_005=sum((np.count_nonzero(p <= 0.05, axis=1) / m).tolist()) / n,
-        mean_ks_d=sum(_ks_d(p).tolist()) / n,
-        mean_bilinearity_ratio=sum(_two_segment_fits(p)[3].tolist()) / n,
+        mean_frac_le_005=sum(frac.tolist()) / n,
+        mean_ks_d=sum(ks_d.tolist()) / n,
+        mean_bilinearity_ratio=sum(ratio.tolist()) / n,
     )
 
 

@@ -111,8 +111,9 @@ class _Frame:
             f'<text x="15" y="{mid_y}" font-family="sans-serif" font-size="13" '
             f'text-anchor="middle" transform="rotate(-90 15 {mid_y})">{_escape(y_label)}</text>',
             "</svg>",
+            "",  # the last newline, joined in rather than copying the whole text to append it
         ]
-        return "\n".join(marks) + "\n"
+        return "\n".join(marks)
 
 
 def render_pplot_svg(series: PValuePlotSeries, *, title: str = "", comment: str = "") -> str:

@@ -1,10 +1,13 @@
 """Tests for the deterministic SVG renderers."""
 
+import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from metaaudit import (
+    PValuePlotSeries,
     PValueRecord,
     ValidationError,
     VolcanoPoint,
@@ -105,6 +108,23 @@ def test_pplot_comment_embedded(ozone_series):
     svg = render_pplot_svg(ozone_series, comment="case data -- draft")
     assert "<!-- case data - - draft -->" in svg  # double dash sanitized
     assert "<!--" not in render_pplot_svg(ozone_series)
+
+
+def test_pplot_joins_the_document_without_a_second_copy():
+    # A plot the size of the benchmark's 79,600-point NO2 series. Its marks take about
+    # twice the text's size, so the peak is about 3 times the text; copying the joined
+    # text once more, to append the last newline, made it about 4 times.
+    rng = random.Random(79_600)
+    series = PValuePlotSeries("NO2", [rng.random() * (0.01 if i % 4 == 0 else 1.0) or 1.0
+                                      for i in range(79_600)])
+    tracemalloc.start()
+    try:
+        svg = render_pplot_svg(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert svg.endswith("</svg>\n") and not svg.endswith("\n\n")
+    assert peak <= 3.5 * len(svg)
 
 
 # --------------------------------------------------------------- volcano

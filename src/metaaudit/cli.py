@@ -16,12 +16,19 @@ are byte-identical across re-runs on unchanged inputs; the only randomness
 anywhere is in ``simulate`` and is pinned by its required ``--seed``.
 
 Exit codes: 0 success, 2 invalid data or arguments, 1 I/O failure or out of memory.
+
+A process started as ``metaaudit`` or ``python -m metaaudit.cli`` runs
+OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set: no command
+calls BLAS, and each idle OpenBLAS worker that ``import numpy`` starts spins
+for about 0.1 s of CPU. ``main`` leaves the environment alone, so a library
+caller keeps the threads it chose.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
@@ -31,7 +38,7 @@ from .errors import InsufficientDataError, ValidationError
 from .searchspace import SpaceSummary, StudyCounts, summarize_spaces
 from .statcore import BackCalcResult, EffectEstimate, p_from_estimate
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _out_dir(args: argparse.Namespace, command: str) -> Path:
@@ -503,5 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> NoReturn:
+    """Process entry: one OpenBLAS thread unless the user chose a number, then ``main``."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -120,9 +120,10 @@ def compute_space(counts: StudyCounts) -> SearchSpace:
 class SpaceSummary(NamedTuple):
     """Five-number summaries of the three search spaces across studies.
 
-    Each field is a ``(min, q1, median, q3, max)`` tuple. Minima and maxima
-    are the exact integers; the interior quartiles use type-6 interpolation
-    and may be fractional.
+    Each field is a ``(min, q1, median, q3, max)`` tuple of floats. Minima
+    and maxima are the spaces converted to float, so they are exact up to
+    2**53 and rounded above it; the interior quartiles use type-6
+    interpolation and may be fractional.
     """
 
     space1: tuple[float, float, float, float, float]

@@ -5,6 +5,7 @@ import argparse
 import csv
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -698,12 +699,16 @@ def test_report_rerun_is_byte_identical(tmp_path):
 # --------------------------------------------------------------- imports
 
 
-def run_fresh(*args: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a fresh interpreter that imports this checkout's package."""
+def run_fresh(*args: str, check: bool = True, env=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's package.
+
+    ``env`` replaces this process's environment, apart from ``PYTHONPATH``.
+    """
+    env = os.environ if env is None else env
     src = str(Path(metaaudit.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    path = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *args], env=dict(env, PYTHONPATH=path),
         capture_output=True, text=True, check=check, timeout=120,
     )
 
@@ -846,6 +851,53 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path, infile, code, 
                      "--method", "fixed", "--out", str(out), check=False)
     assert (done.returncode, done.stderr) == (code, err.format(tmp=tmp_path))
     assert (out / "pooled.csv").exists() == (code == 0)
+
+
+# ------------------------------------------------------- BLAS thread policy
+
+SIMULATE_ARGS = ["simulate", "--regime", "null", "--m", "6", "--replicates", "100", "--seed", "1"]
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="counting threads needs /proc/self/task, and OpenBLAS starts a worker only "
+           "when there are at least 2 CPUs",
+)
+def test_module_entry_runs_openblas_on_one_thread_unless_the_user_set_a_number(tmp_path):
+    # No command calls BLAS, so the entry asks OpenBLAS for one thread before
+    # simulate imports numpy; a value the user gave is kept.
+    argv = ["metaaudit", *SIMULATE_ARGS, "--out", str(tmp_path / "out")]
+    code = f"""
+import os, runpy, sys
+sys.argv = {argv!r}
+try:
+    runpy.run_module("metaaudit.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, len(os.listdir("/proc/self/task")), file=sys.stderr)
+"""
+    bare = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    assert run_fresh("-c", code, env=bare).stderr == "0 1\n"
+    assert run_fresh("-c", code, env=dict(bare, OPENBLAS_NUM_THREADS="2")).stderr == "0 2\n"
+
+
+def test_library_calls_leave_the_environment_alone(tmp_path, monkeypatch):
+    # Only the process entry sets the thread default; a program that calls
+    # main or the simulator keeps the environment it chose.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert run(SIMULATE_ARGS, tmp_path) == 0
+    simulate.draw_pvalues(simulate.SimConfig(regime="null", m=6, seed=1, replicates=100))
+    assert dict(os.environ) == before
+
+
+def test_console_script_is_the_process_entry():
+    # The installed `metaaudit` script must get the same thread policy as
+    # `python -m metaaudit.cli`. A regex, since tomllib is Python 3.11+.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[].*\n?)*)", text, re.M).group(1)
+    target = re.search(r'^metaaudit\s*=\s*"([\w.]+):(\w+)"', scripts, re.M)
+    assert target.groups() == ("metaaudit.cli", "run")
 
 
 # ------------------------------------------------------------ CSV quoting

@@ -88,6 +88,17 @@ def test_summarize_spaces_single_study():
     assert summary.space3 == (24.0, 24.0, 24.0, 24.0, 24.0)
 
 
+def test_summary_extremes_are_floats_rounded_above_2_to_the_53():
+    # A space above 2**53 has no exact float, so its minimum and maximum are
+    # rounded, while the SearchSpace itself keeps the exact integer.
+    space = compute_space(make_counts(2**27 + 1, 2**27 + 1, 0, 1))
+    assert space.space3 == 18014398777917441 == (2**27 + 1) ** 2
+    summary = summarize_spaces([space])
+    assert summary.space3[0] == summary.space3[4] == 1.801439877791744e16
+    assert all(type(value) is float for value in summary.space3)
+    assert int(summary.space3[4]) != space.space3
+
+
 def test_summarize_spaces_empty_is_error():
     with pytest.raises(ValidationError):
         summarize_spaces([])

@@ -11,9 +11,11 @@ Subcommands map one-to-one onto the library workflows:
 * ``report``    bundled case-study fixtures -> the full audit bundle
 
 Every command is non-interactive, reads only the named inputs, and writes
-only beneath the output directory (default ``./out/<command>/``). Outputs
-are byte-identical across re-runs on unchanged inputs; the only randomness
-anywhere is in ``simulate`` and is pinned by its required ``--seed``.
+only beneath the output directory (default ``./out/<command>/``). Each file
+written gets one ``# wrote <path>`` line on stdout, in the order written.
+Outputs are byte-identical across re-runs on unchanged inputs; the only
+randomness anywhere is in ``simulate`` and is pinned by its required
+``--seed``. An input file may start with a UTF-8 byte-order mark.
 
 Exit codes: 0 success, 2 invalid data or arguments, 1 I/O failure or out of memory.
 
@@ -31,7 +33,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .errors import InsufficientDataError, ValidationError
@@ -47,15 +49,16 @@ def _out_dir(args: argparse.Namespace, command: str) -> Path:
     return out
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="")
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    """Write one output file through the dataset writer, then name it on stdout."""
+    datasets._write_text(path, chunks)
     print(f"# wrote {path}")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write one table through the dataset writer; return its text."""
-    text = datasets._write_table(path, header, rows)
-    print(f"# wrote {path}")
+    """Write one table in the dataset format; return its text."""
+    text = datasets._table_text(header, rows)
+    _write(path, (text,))
     return text
 
 
@@ -92,9 +95,8 @@ _SUMMARY_COLUMNS = ("statistic", "space1", "space2", "space3")
 
 def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, str]:
     """Write spaces.csv and space_summary.csv; return the summary and its CSV text."""
-    path = out / "spaces.csv"
-    spaces = datasets.save_counts(records, path)
-    print(f"# wrote {path}")
+    spaces, spaces_csv = datasets._counts_text(records)
+    _write(out / "spaces.csv", (spaces_csv,))
 
     summary = summarize_spaces(spaces)
     rows = zip(_STATS, summary.space1, summary.space2, summary.space3)
@@ -141,12 +143,13 @@ def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> list:
 
 def _check_labels(plots: Sequence[diagnostics.PValuePlotSeries]) -> None:
     """Each endpoint label becomes part of a file name, so it must be one name."""
-    # A separator would add directories to the path, and no file name may hold NUL.
+    # A separator would add directories to the path, no file name may hold NUL, and
+    # a line break or other control character would split the "# wrote" lines.
     for series in plots:
-        if any(char in series.endpoint for char in ("/", "\\", "\0")):
+        if any(char in "/\\\x7f" or char < " " for char in series.endpoint):
             raise ValidationError(
                 f"endpoint {series.endpoint!r} cannot be part of an output file name: "
-                "it contains '/', '\\' or NUL"
+                "it contains '/', '\\' or a control character"
             )
 
 
@@ -160,10 +163,10 @@ def _write_pplots(
         # (rank, p) rows (Python 3.11, 2-vCPU x86-64 VM). A generator, so that no
         # list of rows stays alive while the SVG renders.
         rows = (f"{rank},{p!r}" for rank, p in enumerate(series.p, start=1))
-        _write(out / f"pplot_{series.endpoint}.csv", "\n".join(["rank,p", *rows]) + "\n")
+        _write(out / f"pplot_{series.endpoint}.csv", ("\n".join(["rank,p", *rows]) + "\n",))
         comment = f"p-value plot, endpoint {series.endpoint}{source}"
         _write(out / f"pplot_{series.endpoint}.svg",
-               svgplot.render_pplot_svg(series, comment=comment))
+               (svgplot.render_pplot_svg(series, comment=comment),))
     return _write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, map(_diagnostics_row, plots))
 
 
@@ -190,7 +193,7 @@ def _write_volcano(out: Path, points: list[diagnostics.VolcanoPoint], bonferroni
     csv_text = _write_csv(out / "volcano.csv", ("label", "effect", "neg_log10_p"), rows)
     comment = f"volcano plot{source}, alpha {alpha:g}, m_tests {m_tests}"
     svg = svgplot.render_volcano_svg(points, bonferroni_y, title=title, comment=comment)
-    _write(out / "volcano.svg", svg)
+    _write(out / "volcano.svg", (svg,))
     return csv_text
 
 
@@ -289,7 +292,7 @@ _SETTINGS = {
 
 def _read_config(path: Path) -> dict[str, str]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
@@ -348,25 +351,27 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
     return cfg
 
 
+def _pvalue_lines(cfg: simulate.SimConfig, p) -> Iterator[str]:
+    """Yield the pvalues.csv header, then one replicate's text at a time, never the whole."""
+    # Joined by hand, not by the dataset formatter: the cells are numbers and a
+    # regime name from REGIMES, so none needs quoting, and csv.writer took about
+    # 1.7 times as long on the 300,000 rows of a 10,000-replicate run (Python
+    # 3.11, 2-vCPU x86-64 VM).
+    yield "replicate,citation,author,endpoint,p\n"
+    middles = [f",{study},{simulate.RECORD_AUTHOR},{cfg.regime}," for study in range(1, cfg.m + 1)]
+    for index, row in enumerate(p):
+        prefix = str(index)
+        yield "".join([
+            prefix + middle + value + "\n"
+            for middle, value in zip(middles, map(repr, row.tolist()))
+        ])
+
+
 def cmd_simulate(args: argparse.Namespace) -> None:
     cfg = _build_sim_config(args)
     p = simulate.draw_pvalues(cfg)
     out = _out_dir(args, "simulate")
-    path = out / "pvalues.csv"
-    # Joined by hand, not by the dataset writer: the cells are numbers and a
-    # regime name from REGIMES, so none needs quoting, and csv.writer took about
-    # 1.7 times as long on the 300,000 rows of a 10,000-replicate run (Python
-    # 3.11, 2-vCPU x86-64 VM).
-    middles = [f",{study},{simulate.RECORD_AUTHOR},{cfg.regime}," for study in range(1, cfg.m + 1)]
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write("replicate,citation,author,endpoint,p\n")
-        for index, row in enumerate(p):
-            prefix = str(index)
-            handle.write("".join([
-                prefix + middle + value + "\n"
-                for middle, value in zip(middles, map(repr, row.tolist()))
-            ]))
-    print(f"# wrote {path}")
+    _write(out / "pvalues.csv", _pvalue_lines(cfg, p))
 
     try:
         stats = simulate.shape_stats(p)

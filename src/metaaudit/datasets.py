@@ -14,8 +14,9 @@ and no row longer than the header:
 * effects: ``label,rr,ci_low,ci_high`` with optional ``level`` (default
   0.95).
 
-One writer, ``_write_table``, writes the ``save_*`` files and the tables of
-the command line, so every table shares one format.
+One formatter, ``_table_text``, formats the ``save_*`` files and the tables
+of the command line, so every table shares one format. One primitive,
+``_write_text``, writes every file that the package writes.
 
 The package bundles a transcription of a well-known case study: the 34
 base papers of a 2012 meta-analysis of main air pollutants and myocardial
@@ -52,17 +53,13 @@ __all__ = [
 
 
 class Dataset(_Record):
-    """The three record collections plus a provenance note.
+    """The three record collections, checked for duplicate keys."""
 
-    ``provenance`` records where the data came from (paths and row counts)
-    and is excluded from equality comparisons.
-    """
-
-    __slots__ = ("counts", "pvalues", "effects", "provenance")
+    __slots__ = ("counts", "pvalues", "effects")
 
     def __init__(
         self, counts: list[StudyCounts], pvalues: list[PValueRecord],
-        effects: list[EffectEstimate], provenance: str = "",
+        effects: list[EffectEstimate],
     ) -> None:
         seen_citations = set()
         for record in counts:
@@ -77,10 +74,7 @@ class Dataset(_Record):
                     f"duplicate (citation, endpoint) = {key} in p-value records"
                 )
             seen_keys.add(key)
-        self._set_fields((counts, pvalues, effects, provenance))
-
-    def _compared(self) -> tuple:
-        return self.counts, self.pvalues, self.effects
+        self._set_fields((counts, pvalues, effects))
 
 
 def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
@@ -92,7 +86,7 @@ def _data_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     lines makes later records lag their lines. A data row longer than the
     header is an error; a shorter one is padded with blank cells to its width.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         record_lines: list[str] = []
 
         def lines() -> Iterator[str]:
@@ -169,8 +163,8 @@ def _parse_bool(name: str, raw: str) -> bool:
     raise ValidationError(f"field '{name}': not a boolean: {raw!r}")
 
 
-def _write_table(path: str | Path, header: Iterable[str], rows: Iterable[Sequence]) -> str:
-    """Write a header row and data rows as CSV; return the text written.
+def _table_text(header: Iterable[str], rows: Iterable[Sequence]) -> str:
+    """Format a header row and data rows as CSV text.
 
     Lines end in a bare line feed, and a cell is quoted only when it holds a
     comma, a quote or a line break, or when a row starts with ``#``, which
@@ -184,9 +178,13 @@ def _write_table(path: str | Path, header: Iterable[str], rows: Iterable[Sequenc
     for row in rows:
         first = row[0]
         (quote_all if isinstance(first, str) and first.startswith("#") else writer).writerow(row)
-    text = buffer.getvalue()
-    Path(path).write_text(text, encoding="utf-8", newline="")
-    return text
+    return buffer.getvalue()
+
+
+def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``path`` as UTF-8, line ends as given; no other code writes a file."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(chunks)
 
 
 _COUNT_COLUMNS = ("citation", "author", "outcomes", "predictors", "covariates", "lags")
@@ -338,14 +336,20 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
     return records
 
 
-def save_counts(records: list[StudyCounts], path: str | Path) -> list[SearchSpace]:
-    """Write study counts as CSV, including recomputed space columns; return the spaces."""
+def _counts_text(records: list[StudyCounts]) -> tuple[list[SearchSpace], str]:
+    """The records' spaces, and their counts CSV text with the space columns."""
     spaces = [compute_space(r) for r in records]
     rows = (
         (r.citation, r.author, r.outcomes, r.predictors, r.covariates, r.lags, *s)
         for r, s in zip(records, spaces)
     )
-    _write_table(path, _COUNT_COLUMNS + _SPACE_COLUMNS, rows)
+    return spaces, _table_text(_COUNT_COLUMNS + _SPACE_COLUMNS, rows)
+
+
+def save_counts(records: list[StudyCounts], path: str | Path) -> list[SearchSpace]:
+    """Write study counts as CSV, including recomputed space columns; return the spaces."""
+    spaces, text = _counts_text(records)
+    _write_text(path, (text,))
     return spaces
 
 
@@ -356,13 +360,13 @@ def save_pvalues(records: list[PValueRecord], path: str | Path) -> None:
          "true" if r.direction_negative else "false")
         for r in records
     )
-    _write_table(path, _PVALUE_COLUMNS, rows)
+    _write_text(path, (_table_text(_PVALUE_COLUMNS, rows),))
 
 
 def save_effects(records: list[EffectEstimate], path: str | Path) -> None:
     """Write effect estimates as CSV with an explicit level column."""
     rows = ((r.label, r.rr, r.ci_low, r.ci_high, r.level) for r in records)
-    _write_table(path, _EFFECT_COLUMNS + ("level",), rows)
+    _write_text(path, (_table_text(_EFFECT_COLUMNS + ("level",), rows),))
 
 
 def load_dataset(
@@ -371,15 +375,9 @@ def load_dataset(
     effects_path: str | Path,
 ) -> Dataset:
     """Load the three CSV files into one validated Dataset."""
-    counts = load_counts(counts_path)
-    pvalues = load_pvalues(pvalues_path)
-    effects = load_effects(effects_path)
-    provenance = (
-        f"counts: {counts_path} ({len(counts)} rows); "
-        f"pvalues: {pvalues_path} ({len(pvalues)} rows); "
-        f"effects: {effects_path} ({len(effects)} rows)"
+    return Dataset(
+        load_counts(counts_path), load_pvalues(pvalues_path), load_effects(effects_path)
     )
-    return Dataset(counts=counts, pvalues=pvalues, effects=effects, provenance=provenance)
 
 
 def _fixture_path(name: str) -> Path:

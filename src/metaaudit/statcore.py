@@ -109,17 +109,13 @@ class _Record:
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    def _compared(self) -> tuple:
-        """The field values that ``==`` and ``hash`` go by."""
-        return self.__getstate__()
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._compared() == other._compared()
+            return self.__getstate__() == other.__getstate__()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._compared())
+        return hash(self.__getstate__())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

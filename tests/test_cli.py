@@ -17,7 +17,7 @@ import pytest
 import metaaudit
 from metaaudit import (
     ValidationError, case_counts_path, case_effects_path, case_pvalues_path, compute_space,
-    load_pvalues, simulate,
+    datasets, load_pvalues, simulate,
 )
 from metaaudit.cli import _SETTINGS, _build_parser, main
 
@@ -56,7 +56,7 @@ def test_spaces_rerun_is_byte_identical(tmp_path):
     ids=["spaces", "report"],
 )
 def test_spaces_are_computed_once_to_check_and_once_to_write(tmp_path, monkeypatch, argv):
-    # The summary is taken over the spaces save_counts wrote, not computed a third time.
+    # The summary is taken over the spaces spaces.csv was written from, not computed a third time.
     calls = []
 
     def counted(counts):
@@ -249,7 +249,20 @@ def test_pplot_bad_endpoint_label_creates_no_out_directory(tmp_path, capsys):
     assert run(["pplot", "--in", str(data), "--endpoint", "a/b"], tmp_path) == 2
     assert capsys.readouterr().err == (
         "error: endpoint 'a/b' cannot be part of an output file name: "
-        "it contains '/', '\\' or NUL\n"
+        "it contains '/', '\\' or a control character\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("label", ["x\ny", "x\ry", "x\ty", "x\x1by", "x\x7fy"])
+def test_pplot_endpoint_label_with_a_control_character_is_rejected(tmp_path, capsys, label):
+    # A line break in a file name would split its "# wrote" line in two.
+    data = tmp_path / "labels.csv"
+    data.write_text(f'{PVALUES_HEADER}\n1,a,"{label}",0.01,false\n', encoding="utf-8")
+    assert run(["pplot", "--in", str(data), "--endpoint", label], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: endpoint {label!r} cannot be part of an output file name: "
+        "it contains '/', '\\' or a control character\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -406,6 +419,15 @@ def test_simulate_config_line_without_equals(tmp_path, capsys):
     assert run(["simulate", "--in", str(cfg)], tmp_path) == 2
     assert capsys.readouterr().err == f"error: {cfg}: line 2: expected key=value, got 'm 5'\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_simulate_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = "regime=null\nm=6\nseed=4\nreplicates=2\n"
+    (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+    (tmp_path / "marked.cfg").write_text(text, encoding="utf-8-sig")
+    assert run(["simulate", "--in", str(tmp_path / "plain.cfg")], tmp_path, out="a") == 0
+    assert run(["simulate", "--in", str(tmp_path / "marked.cfg")], tmp_path, out="b") == 0
+    assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
 
 def test_simulate_non_utf8_config_is_validation_error(tmp_path, capsys):
@@ -655,6 +677,20 @@ def test_simulate_draw_memory_does_not_grow_with_search_space():
     assert huge <= 2 * small
 
 
+def test_simulate_streams_pvalues_csv(tmp_path):
+    # The file is about 21.8 MB; the p-value array is 4.8 MB and stays whole.
+    argv = ["simulate", "--regime", "null", "--m", "30", "--seed", "1"]
+    assert run(argv + ["--replicates", "2"], tmp_path, out="warm") == 0  # first-call imports
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--replicates", "20000"], tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "o" / "pvalues.csv").stat().st_size > 20_000_000
+    assert peak < 10_000_000
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -694,6 +730,53 @@ def test_report_rerun_is_byte_identical(tmp_path):
     run(["report", "--fixtures"], tmp_path, out="a")
     run(["report", "--fixtures"], tmp_path, out="b")
     assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
+
+
+# ---------------------------------------------------------- output files
+
+ONE_RUN_EACH = {
+    "spaces": ["spaces", "--in", str(case_counts_path())],
+    "pplot": ["pplot", "--in", str(case_pvalues_path()), "--endpoint", "ozone"],
+    "volcano": ["volcano", "--in", str(case_effects_path())],
+    "pool": ["pool", "--in", str(case_effects_path()), "--method", "dl"],
+    "pfromci": ["pfromci", "--in", str(case_effects_path())],
+    "simulate": ["simulate", "--regime", "null", "--m", "10", "--seed", "1",
+                 "--replicates", "3"],
+    "report": ["report", "--fixtures"],
+}
+
+
+@pytest.mark.parametrize("command", ONE_RUN_EACH)
+def test_every_output_file_goes_through_one_writer(tmp_path, capsys, monkeypatch, command):
+    argv = ONE_RUN_EACH[command]
+    write_text = datasets._write_text
+    written = []
+
+    def counted(path, chunks):
+        written.append(str(path))
+        write_text(path, chunks)
+
+    monkeypatch.setattr(datasets, "_write_text", counted)
+    assert run(argv, tmp_path) == 0
+    announced = [line[len("# wrote "):] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("# wrote ")]
+    assert announced == written
+    assert sorted(written) == sorted(str(path) for path in (tmp_path / "o").iterdir())
+
+    for k in range(len(written)):
+        calls = []
+
+        def failing(path, chunks):
+            calls.append(path)
+            if len(calls) == k + 1:
+                raise OSError(28, "No space left on device", str(path))
+            write_text(path, chunks)
+
+        monkeypatch.setattr(datasets, "_write_text", failing)
+        assert run(argv, tmp_path, out=f"fail{k}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno 28] No space left on device: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # --------------------------------------------------------------- imports
@@ -905,6 +988,9 @@ def test_console_script_is_the_process_entry():
 # Free text in a cell: a comma, a quote and a line break.
 TRICKY = 'Smith, "J"\nJr'
 TRICKY_CELL = '"Smith, ""J""\nJr"'
+# An endpoint label becomes part of a file name, so it holds no line break.
+ENDPOINT = 'Smith, "J" Jr'
+ENDPOINT_CELL = '"Smith, ""J"" Jr"'
 
 
 def read_table(path):
@@ -925,17 +1011,17 @@ def test_free_text_cells_are_quoted_and_read_back(tmp_path):
     pvalues = tmp_path / "pvalues.csv"
     pvalues.write_text(
         "citation,author,endpoint,p,direction_negative\n"
-        + "".join(f"{i},{TRICKY_CELL},{TRICKY_CELL},0.0{i},false\n" for i in range(1, 4))
+        + "".join(f"{i},{TRICKY_CELL},{ENDPOINT_CELL},0.0{i},false\n" for i in range(1, 4))
     )
     assert run(["spaces", "--in", str(counts)], tmp_path, out="spaces") == 0
     assert run(["volcano", "--in", str(effects)], tmp_path, out="volcano") == 0
     assert run(["pfromci", "--in", str(effects)], tmp_path, out="pfromci") == 0
-    assert run(["pplot", "--in", str(pvalues), "--endpoint", TRICKY], tmp_path, out="pplot") == 0
+    assert run(["pplot", "--in", str(pvalues), "--endpoint", ENDPOINT], tmp_path, out="pplot") == 0
 
     assert read_table(tmp_path / "spaces" / "spaces.csv")[0][1] == TRICKY
     assert read_table(tmp_path / "volcano" / "volcano.csv")[0][0] == TRICKY
     assert read_table(tmp_path / "pfromci" / "backcalc.csv")[0][0] == TRICKY
-    assert read_table(tmp_path / "pplot" / "diagnostics.csv")[0][0] == TRICKY
+    assert read_table(tmp_path / "pplot" / "diagnostics.csv")[0][0] == ENDPOINT
 
     # spaces.csv is itself a valid counts input, and reading it back changes nothing
     spaces_csv = tmp_path / "spaces" / "spaces.csv"

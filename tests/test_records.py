@@ -50,13 +50,12 @@ CASES = [
      "PValuePlotSeries(endpoint='CO', p=(0.1, 0.3, 0.5), alpha=0.1)"),
     (VolcanoPoint, ("NO2", 0.4, 2.5), ("label", "effect", "neg_log10_p"), ("NO2", 0.4, 2.5), {},
      {"effect": 0.5}, "VolcanoPoint(label='NO2', effect=0.4, neg_log10_p=2.5)"),
-    (Dataset, ([_COUNTS], [_RECORD], [_EFFECT], "bundled"),
-     ("counts", "pvalues", "effects", "provenance"),
-     ([_COUNTS], [_RECORD], [_EFFECT]), {"provenance": ""}, {"effects": []},
+    (Dataset, ([_COUNTS], [_RECORD], [_EFFECT]), ("counts", "pvalues", "effects"),
+     ([_COUNTS], [_RECORD], [_EFFECT]), {}, {"effects": []},
      "Dataset(counts=[StudyCounts(citation=1, author='Ab', outcomes=2, predictors=3, "
      "covariates=4, lags=5)], pvalues=[PValueRecord(citation=7, author='Lee', endpoint='CO', "
      "p=0.03, direction_negative=False, truncated=False)], effects=[EffectEstimate("
-     "label='NO2', rr=1.5, ci_low=1.2, ci_high=1.9, level=0.95)], provenance='bundled')"),
+     "label='NO2', rr=1.5, ci_low=1.2, ci_high=1.9, level=0.95)])"),
     (SimConfig, ("mixture", 30, 801, 0.5, 10, 0.25, 200, "effect"),
      ("regime", "m", "seed", "delta", "s_tests", "pi_mix", "replicates", "mix_component"),
      ("null", 30, 801),
@@ -92,12 +91,11 @@ def test_equality_and_hash_go_by_field(cls, args, names, required, defaults, cha
     record, twin = cls(*args), cls(*args)
     assert record == twin and not record != twin
     assert record != cls(**{**dict(zip(names, args)), **changed})
-    compared = tuple(name for name in names if name != "provenance" or cls is not Dataset)
     if cls is Dataset:  # its fields are lists, and lists cannot be hashed
         with pytest.raises(TypeError):
             hash(record)
     else:
-        assert hash(record) == hash(twin) == hash(_values(record, compared))
+        assert hash(record) == hash(twin) == hash(_values(record, names))
 
 
 @pytest.mark.parametrize("cls, args, names, required, defaults, changed, text", CASES, ids=IDS)
@@ -126,8 +124,3 @@ def test_copy_and_pickle_round_trip(cls, args, names, required, defaults, change
         assert type(other) is cls and other == record
         assert _values(other, names) == args and repr(other) == text
 
-
-def test_dataset_equality_ignores_provenance():
-    assert Dataset([_COUNTS], [_RECORD], [_EFFECT], "a.csv") == Dataset(
-        [_COUNTS], [_RECORD], [_EFFECT], "b.csv")
-    assert Dataset([_COUNTS], [], [], "a.csv") != Dataset([], [], [], "a.csv")

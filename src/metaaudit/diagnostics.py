@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from itertools import accumulate
+from operator import sub
 from typing import Iterable, NamedTuple
 
 from .errors import EmptySeriesError, InsufficientDataError, ValidationError
@@ -109,12 +110,11 @@ class PValuePlotSeries(_Record):
     def __init__(self, endpoint: str, p: Iterable[float], alpha: float = 0.05) -> None:
         alpha = _require_open_unit("alpha", alpha)
         p = sorted(map(float, p))
-        # Every value: a NaN leaves the sort out of order, so the ends prove nothing.
-        bad = [value for value in p if not 0.0 < value <= 1.0]
-        if bad:
-            raise ValidationError(
-                f"p must lie in (0, 1], got {bad[0]!r} (endpoint {endpoint!r})"
-            )
+        # Without NaN the sort is total, so the ends bound every value; a NaN, which
+        # leaves the sort out of order, makes the sum NaN.
+        if p and not (0.0 < p[0] and p[-1] <= 1.0 and not math.isnan(sum(p))):
+            bad = next(value for value in p if not 0.0 < value <= 1.0)
+            raise ValidationError(f"p must lie in (0, 1], got {bad!r} (endpoint {endpoint!r})")
         if not p:
             raise EmptySeriesError(f"no p-value records for endpoint {endpoint!r}")
         self._set_fields((endpoint, tuple(p), alpha))
@@ -243,8 +243,8 @@ _FIT_MIN_M = 6
 def _ks_d(p: tuple[float, ...]) -> float:
     """KS distance from Uniform(0,1) of sorted p-values, all in (0, 1]."""
     m = len(p)
-    return max(max(i / m - x for i, x in enumerate(p, 1)),
-               max(x - (i - 1) / m for i, x in enumerate(p, 1)))
+    steps = [i / m for i in range(m + 1)]  # the empirical CDF: (i - 1) / m, then i / m at p[i - 1]
+    return max(max(map(sub, steps[1:], p)), max(map(sub, p, steps)))
 
 
 def _line_sse(k, sx, sy, sxx, syy, sxy) -> float:
@@ -269,12 +269,16 @@ def _two_segment_fit(p: tuple[float, ...]) -> BilinearityFit:
     sx, sy, sxx, syy, sxy = sums
     tx, ty, txx, tyy, txy = (s[-1] for s in sums)
     # The left segment ends at rank k, so it has k points and its sums sit at index k - 1.
-    totals = [
-        _line_sse(k, lx, ly, lxx, lyy, lxy)
-        + _line_sse(m - k, tx - lx, ty - ly, txx - lxx, tyy - lyy, txy - lxy)
-        for k, lx, ly, lxx, lyy, lxy
-        in zip(range(2, m - 1), sx[1:], sy[1:], sxx[1:], syy[1:], sxy[1:])
-    ]
+    # Each segment's SSE is _line_sse, written out: the same operations in the same order.
+    totals = []
+    for k, lx, ly, lxx, lyy, lxy in zip(range(2, m - 1), sx[1:], sy[1:], sxx[1:], syy[1:],
+                                         sxy[1:]):
+        cxy = lxy - lx * ly / k
+        left = (lyy - ly * ly / k) - cxy * cxy / (lxx - lx * lx / k)
+        n, rx, ry = m - k, tx - lx, ty - ly
+        cxy = (txy - lxy) - rx * ry / n
+        right = ((tyy - lyy) - ry * ry / n) - cxy * cxy / ((txx - lxx) - rx * rx / n)
+        totals.append((left if left > 0.0 else 0.0) + (right if right > 0.0 else 0.0))
     sse_two = min(totals)
     sse_one = _line_sse(m, tx, ty, txx, tyy, txy)
     ratio = 1.0 if sse_one <= _SSE_LINEAR_EPS else min(sse_two / sse_one, 1.0)

@@ -146,12 +146,13 @@ def render_pplot_svg(series: PValuePlotSeries, *, title: str = "", comment: str 
         frame.line(0.0, 0.0, m, 1.0, "#888888", dashed=True),
         frame.line(0.0, series.alpha, m, series.alpha, "#000000"),
     ]
-    px, py = frame.px, frame.py
-    tail = f' r="{_fmt(_POINT_RADIUS)}" fill="#336699"/>'
-    marks += [
-        f'<circle cx="{_fmt(px(float(rank)))}" cy="{_fmt(py(p))}"{tail}'
-        for rank, p in enumerate(series.p, start=1)
-    ]
+    # frame.px(rank) and frame.py(p) written out, as x0 = y0 = 0 and y1 = 1 make them;
+    # both are at least 50, so _fmt's "-0.00" guard has nothing to do.
+    circle = f'<circle cx="%.2f" cy="%.2f" r="{_fmt(_POINT_RADIUS)}" fill="#336699"/>'
+    left, width = frame.left, frame.right - frame.left
+    bottom, height = frame.bottom, frame.bottom - frame.top
+    marks += [circle % (left + rank / m * width, bottom - p * height)
+              for rank, p in enumerate(series.p, start=1)]
     return frame.document(ticks, marks, title=title or series.endpoint,
                           x_label="rank (smallest to largest)", y_label="p-value", comment=comment)
 

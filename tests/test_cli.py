@@ -1027,3 +1027,21 @@ def test_free_text_cells_are_quoted_and_read_back(tmp_path):
     spaces_csv = tmp_path / "spaces" / "spaces.csv"
     assert run(["spaces", "--in", str(spaces_csv)], tmp_path, out="again") == 0
     assert (tmp_path / "again" / "spaces.csv").read_bytes() == spaces_csv.read_bytes()
+
+
+@pytest.mark.parametrize("command, table",
+                         [("volcano", "volcano.csv"), ("pfromci", "backcalc.csv")])
+def test_printed_table_rows_stay_on_one_line(tmp_path, capsys, command, table):
+    label = "a\nb\tc\x00d\x7fe"
+    shown = r"a\nb\tc\x00d\x7fe"  # each C0 control character and DEL as its repr escape
+    effects = tmp_path / "effects.csv"
+    effects.write_text(f'label,rr,ci_low,ci_high\n"{label}",1.05,1.01,1.09\nCO,1.048,1.026,1.070\n')
+    assert run([command, "--in", str(effects)], tmp_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("label "))
+    header, rule, first, second = lines[start:start + 4]
+    assert first.startswith(shown + "  ") and second.startswith("CO ")
+    width = len(shown)
+    for line in (header, rule, first, second):
+        assert line[width:width + 2] == "  " and line[width + 2] != " ", line
+    assert read_table(tmp_path / "o" / table)[0][0] == label  # the CSV keeps the text as it is

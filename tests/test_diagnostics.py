@@ -3,6 +3,7 @@ volcano coordinates, and per-endpoint descriptives."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ def test_series_rejects_p_outside_unit_interval(bad):
         PValuePlotSeries("e", [0.3, 0.4, 0.5, 0.6, bad])
     with pytest.raises(ValidationError, match="endpoint 'e'"):
         PValuePlotSeries("e", [bad, 0.3, 0.4, 0.5, 0.6])
+
+
+@pytest.mark.parametrize("p", [
+    [0.3, float("nan"), 0.5], [0.5, float("inf"), float("nan"), 0.2],
+    [float("-inf"), 0.5, 2.0], [0.9, 0.1, float("nan"), 1.0, 0.0],
+])
+def test_series_names_the_first_bad_value_in_sorted_order(p):
+    # A NaN between good ends: only the sum shows it, and the scan names it.
+    bad = next(value for value in sorted(p) if not 0.0 < value <= 1.0)
+    with pytest.raises(ValidationError, match=re.escape(f"got {bad!r} (endpoint 'e')")):
+        PValuePlotSeries("e", p)
 
 
 # --------------------------------------------------------- uniformity_ks

@@ -63,9 +63,13 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> s
     return text
 
 
-# Each C0 control character and DEL as its repr escape ("\\n", "\\x00"), so that a
-# printed table row stays on one line; the CSV files keep the text as it is.
-_CONTROL_ESCAPES = {code: repr(chr(code))[1:-1] for code in (*range(0x20), 0x7F)}
+# Each C0 and C1 control character, DEL and the line and paragraph separators as
+# its repr escape ("\\n", "\\x85", "\\u2028"); these hold every character at which
+# str.splitlines breaks a line. A printed table row shows them escaped, so that it
+# stays on one line, and no endpoint label may hold one; the CSV files keep the text.
+_CONTROL_ESCAPES = {
+    code: repr(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)
+}
 
 
 def _text_table(headers: Sequence[str], rows: list[list[str]]) -> str:
@@ -153,7 +157,7 @@ def _check_labels(plots: Sequence[diagnostics.PValuePlotSeries]) -> None:
     # A separator would add directories to the path, no file name may hold NUL, and
     # a line break or other control character would split the "# wrote" lines.
     for series in plots:
-        if any(char in "/\\\x7f" or char < " " for char in series.endpoint):
+        if any(char in "/\\" or ord(char) in _CONTROL_ESCAPES for char in series.endpoint):
             raise ValidationError(
                 f"endpoint {series.endpoint!r} cannot be part of an output file name: "
                 "it contains '/', '\\' or a control character"
@@ -288,17 +292,19 @@ def cmd_pfromci(args: argparse.Namespace) -> None:
 
 # -------------------------------------------------------------- simulate
 
-# Config key (flag --key, '-' for '_') -> SimConfig field, parser of a file value,
-# and what a run without it lacks when the field has no default. In walk order.
+# Config key (flag --key, '-' for '_') -> SimConfig field, parser of a flag or file
+# value, what a run without it lacks when the field has no default, the flag's
+# choices and its help. In walk order, which is also the order of --help.
 _SETTINGS = {
-    "regime": ("regime", str, "a regime"),
-    "m": ("m", int, "m"),
-    "seed": ("seed", int, "a seed"),
-    "delta": ("delta", float, None),
-    "s_tests": ("s_tests", int, None),
-    "pi": ("pi_mix", float, None),
-    "replicates": ("replicates", int, None),
-    "mix_component": ("mix_component", str, None),
+    "regime": ("regime", str, "a regime", simulate.REGIMES, None),
+    "m": ("m", int, "m", None, "p-values per replicate"),
+    "seed": ("seed", int, "a seed", None, "RNG seed (required)"),
+    "delta": ("delta", float, None, None, "effect-regime mean shift"),
+    "s_tests": ("s_tests", int, None, None, "candidate tests per study under phack"),
+    "pi": ("pi_mix", float, None, None, "mixture fraction"),
+    "replicates": ("replicates", int, None, None, None),
+    "mix_component": ("mix_component", str, None, simulate.MIX_COMPONENTS,
+                      "what the non-null mixture studies are"),
 }
 
 
@@ -309,7 +315,8 @@ def _read_config(path: Path) -> dict[str, str]:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
     key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end where the CSV loaders end them: read_text has made "\r" and "\r\n" "\n".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -336,7 +343,7 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
     """
     file_values = _read_config(Path(args.infile)) if args.infile else {}
     given = {}
-    for key, (field, parse, needs) in _SETTINGS.items():
+    for key, (field, parse, needs, *_) in _SETTINGS.items():
         raw = file_values.get(key)
         if getattr(args, key) is not None:
             given[field] = getattr(args, key)
@@ -352,9 +359,9 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
         cfg = simulate.SimConfig(**given)
     except ValidationError as exc:  # it names a field; name the key the user typed
         field, _, rest = str(exc).partition(" ")
-        key = next((k for k, (f, _, _) in _SETTINGS.items() if f == field), field)
+        key = next((k for k, (f, *_) in _SETTINGS.items() if f == field), field)
         raise ValidationError(f"{key} {rest}") from None
-    for key, (field, _, _) in _SETTINGS.items():
+    for key, (field, *_) in _SETTINGS.items():
         if getattr(args, key) is not None and field not in cfg.reads():
             regime = cfg.regime
             if regime == "mixture":
@@ -491,16 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", cmd_simulate, "simulate p-value populations")
     p.add_argument("--in", dest="infile", default=None, help="key=value config file")
-    p.add_argument("--regime", choices=simulate.REGIMES, default=None)
-    p.add_argument("--m", type=int, default=None, help="p-values per replicate")
-    p.add_argument("--delta", type=float, default=None, help="effect-regime mean shift")
-    p.add_argument("--s-tests", dest="s_tests", type=int, default=None,
-                   help="candidate tests per study under phack")
-    p.add_argument("--pi", type=float, default=None, help="mixture fraction")
-    p.add_argument("--mix-component", dest="mix_component", choices=simulate.MIX_COMPONENTS,
-                   default=None, help="what the non-null mixture studies are")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
-    p.add_argument("--replicates", type=int, default=None)
+    for key, (_, parse, _, choices, help_text) in _SETTINGS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, choices=choices,
+                       help=help_text)
 
     p = add("report", cmd_report, "full audit bundle for the bundled dataset")
     p.add_argument("--fixtures", action="store_true",

@@ -94,8 +94,9 @@ class _Record:
 
     A subclass names its fields in ``__slots__``, in order, and its
     ``__init__`` checks its arguments and stores the fields with
-    ``_set_fields``. Copying and unpickling store them the same way, without
-    checking them again.
+    ``_set_fields``. Only copying and unpickling store them the same way
+    without checking them again; every record the package builds, a loaded
+    one included, passes its constructor.
     """
 
     __slots__ = ()

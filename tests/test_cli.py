@@ -254,7 +254,8 @@ def test_pplot_bad_endpoint_label_creates_no_out_directory(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("label", ["x\ny", "x\ry", "x\ty", "x\x1by", "x\x7fy"])
+@pytest.mark.parametrize("label", ["x\ny", "x\ry", "x\ty", "x\x1by", "x\x7fy", "x\x85y",
+                                   "x\x9by", "x\u2028y", "x\u2029y"])
 def test_pplot_endpoint_label_with_a_control_character_is_rejected(tmp_path, capsys, label):
     # A line break in a file name would split its "# wrote" line in two.
     data = tmp_path / "labels.csv"
@@ -418,6 +419,26 @@ def test_simulate_config_line_without_equals(tmp_path, capsys):
     cfg.write_text("regime=null\nm 5\nseed=4\n")
     assert run(["simulate", "--in", str(cfg)], tmp_path) == 2
     assert capsys.readouterr().err == f"error: {cfg}: line 2: expected key=value, got 'm 5'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_simulate_config_lines_end_where_csv_lines_end(tmp_path, capsys, end):
+    # Only \n, \r and \r\n end a line; a form feed, where str.splitlines breaks too, does not.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(end.join([b"regime=null\fm=30", b"seed=1", b"bogus=1", b""]))
+    assert run(["simulate", "--in", str(cfg)], tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 3: unknown key 'bogus'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_config_next_line_character_is_part_of_its_value(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("seed=1\x85replicates=100\n", encoding="utf-8")
+    assert run(["simulate", "--in", str(cfg), "--regime", "null", "--m", "5"], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: key 'seed': not an integer: '1\\x85replicates=100'\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -590,8 +611,8 @@ def test_simulate_settings_agree_with_flags_and_sim_config():
     }
     fields = inspect.signature(simulate.SimConfig).parameters
     assert set(_SETTINGS) == set(flags)
-    assert {field for field, _, _ in _SETTINGS.values()} == set(fields)
-    for key, (field, parse, needs) in _SETTINGS.items():
+    assert {field for field, *_ in _SETTINGS.values()} == set(fields)
+    for key, (field, parse, needs, *_) in _SETTINGS.items():
         assert flags[key].option_strings == ["--" + key.replace("_", "-")]
         assert flags[key].default is None
         assert flags[key].type in (parse, None)
@@ -835,6 +856,16 @@ print(len(namespace.keys() - {"__builtins__"}), all(namespace[name] is getattr(m
     ]
 
 
+def test_package_dir_lists_names_not_yet_used():
+    # A fresh `import metaaudit` has resolved no exported name, so only __dir__ lists them.
+    code = """
+import metaaudit
+names = dir(metaaudit)
+print(sorted(set(metaaudit.__all__) - set(names)), "__version__" in names)
+"""
+    assert run_fresh("-c", code).stdout == "[] True\n"
+
+
 def test_array_free_commands_load_no_numpy(tmp_path):
     # Only simulate builds arrays, so the other six commands must run without
     # numpy, and no command needs the XML or URL libraries.
@@ -1045,3 +1076,19 @@ def test_printed_table_rows_stay_on_one_line(tmp_path, capsys, command, table):
     for line in (header, rule, first, second):
         assert line[width:width + 2] == "  " and line[width + 2] != " ", line
     assert read_table(tmp_path / "o" / table)[0][0] == label  # the CSV keeps the text as it is
+
+
+@pytest.mark.parametrize("command, table",
+                         [("volcano", "volcano.csv"), ("pfromci", "backcalc.csv")])
+def test_printed_table_rows_stay_on_one_line_past_c0(tmp_path, capsys, command, table):
+    label = "a\x85b\u2028c"
+    shown = r"a\x85b\u2028c"  # a C1 control character and a line separator, as repr escapes
+    effects = tmp_path / "effects.csv"
+    effects.write_text(f"label,rr,ci_low,ci_high\n{label},1.05,1.01,1.09\nCO,1.048,1.026,1.070\n",
+                       encoding="utf-8")
+    assert run([command, "--in", str(effects)], tmp_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("label "))
+    first, second = lines[start + 2:start + 4]
+    assert first.startswith(shown + "  ") and second.startswith("CO ")
+    assert read_table(tmp_path / "o" / table)[0][0] == label

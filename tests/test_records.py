@@ -10,6 +10,7 @@ from metaaudit import (
     BackCalcResult, Dataset, EffectEstimate, PooledResult, PValuePlotSeries, PValueRecord,
     SearchSpace, SimConfig, SpaceSummary, StudyCounts, VolcanoPoint,
 )
+from metaaudit.statcore import _Record
 
 _COUNTS = StudyCounts(1, "Ab", 2, 3, 4, 5)
 _RECORD = PValueRecord(7, "Lee", "CO", 0.03)
@@ -124,3 +125,14 @@ def test_copy_and_pickle_round_trip(cls, args, names, required, defaults, change
         assert type(other) is cls and other == record
         assert _values(other, names) == args and repr(other) == text
 
+
+# The six types built on statcore._Record, each with every field by position.
+RECORDS = [(cls, args) for cls, args, *_ in CASES if issubclass(cls, _Record)]
+
+
+@pytest.mark.parametrize("cls, args", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_equals_no_other_type(cls, args):
+    record = cls(*args)
+    assert record.__eq__(args) is NotImplemented
+    assert record != args and not record == args
+    assert record != object()

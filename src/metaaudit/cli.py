@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .errors import InsufficientDataError, ValidationError
 from .searchspace import SpaceSummary, StudyCounts, summarize_spaces
-from .statcore import BackCalcResult, EffectEstimate, p_from_estimate
+from .statcore import _CONTROL_ESCAPES, BackCalcResult, EffectEstimate, p_from_estimate
 
 __all__ = ["main", "run"]
 
@@ -63,13 +63,13 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> s
     return text
 
 
-# Each C0 and C1 control character, DEL and the line and paragraph separators as
-# its repr escape ("\\n", "\\x85", "\\u2028"); these hold every character at which
-# str.splitlines breaks a line. A printed table row shows them escaped, so that it
-# stays on one line, and no endpoint label may hold one; the CSV files keep the text.
-_CONTROL_ESCAPES = {
-    code: repr(chr(code))[1:-1] for code in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)
-}
+# Every escape of _CONTROL_ESCAPES but the line feed, which ends each CSV record.
+_ECHO_ESCAPES = {code: text for code, text in _CONTROL_ESCAPES.items() if code != ord("\n")}
+
+
+def _echo(csv_text: str) -> None:
+    """Print a table written as CSV; stdout lines break only where the file's lines do."""
+    print(csv_text.translate(_ECHO_ESCAPES), end="")
 
 
 def _text_table(headers: Sequence[str], rows: list[list[str]]) -> str:
@@ -101,7 +101,7 @@ def _load_rows(load, path: str) -> list:
 # ---------------------------------------------------------------- spaces
 
 _STATS = ("min", "q1", "median", "q3", "max")
-_SUMMARY_COLUMNS = ("statistic", "space1", "space2", "space3")
+_SUMMARY_COLUMNS = ("statistic", *SpaceSummary._fields)
 
 
 def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, str]:
@@ -110,7 +110,7 @@ def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, 
     _write(out / "spaces.csv", (spaces_csv,))
 
     summary = summarize_spaces(spaces)
-    rows = zip(_STATS, summary.space1, summary.space2, summary.space3)
+    rows = zip(_STATS, *summary)
     summary_csv = _write_csv(out / "space_summary.csv", _SUMMARY_COLUMNS, rows)
     return summary, summary_csv
 
@@ -118,15 +118,9 @@ def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, 
 def cmd_spaces(args: argparse.Namespace) -> None:
     records = _load_rows(datasets.load_counts, args.infile)
     summary, summary_csv = _write_spaces(_out_dir(args, "spaces"), records)
-    print(summary_csv, end="")
-    rows = [
-        [stat]
-        + [
-            f"{_round_half_up(getattr(summary, f'space{j}')[i]):,}"
-            for j in (1, 2, 3)
-        ]
-        for i, stat in enumerate(_STATS)
-    ]
+    _echo(summary_csv)
+    rows = [[stat, *(f"{_round_half_up(value):,}" for value in values)]
+            for stat, *values in zip(_STATS, *summary)]
     print(_text_table(_SUMMARY_COLUMNS, rows))
 
 
@@ -192,7 +186,7 @@ def cmd_pplot(args: argparse.Namespace) -> None:
     p = _endpoint_p(args.infile, args.endpoint)
     series = diagnostics.PValuePlotSeries(args.endpoint, p, args.alpha)
     _check_labels([series])
-    print(_write_pplots(_out_dir(args, "pplot"), [series]), end="")
+    _echo(_write_pplots(_out_dir(args, "pplot"), [series]))
     print(
         f"endpoint {series.endpoint}: m={series.m}, "
         f"fraction of p <= {series.alpha:g}: {series.frac_le_alpha:.3f}"
@@ -205,8 +199,7 @@ def cmd_pplot(args: argparse.Namespace) -> None:
 def _write_volcano(out: Path, points: list[diagnostics.VolcanoPoint], bonferroni_y: float,
                    alpha: float, m_tests: int, source: str = "", title: str = "") -> str:
     """Write volcano.csv and volcano.svg; return the CSV text."""
-    rows = ((point.label, point.effect, point.neg_log10_p) for point in points)
-    csv_text = _write_csv(out / "volcano.csv", ("label", "effect", "neg_log10_p"), rows)
+    csv_text = _write_csv(out / "volcano.csv", diagnostics.VolcanoPoint._fields, points)
     comment = f"volcano plot{source}, alpha {alpha:g}, m_tests {m_tests}"
     svg = svgplot.render_volcano_svg(points, bonferroni_y, title=title, comment=comment)
     _write(out / "volcano.svg", (svg,))
@@ -220,7 +213,7 @@ def cmd_volcano(args: argparse.Namespace) -> None:
     out = _out_dir(args, "volcano")
     csv_text = _write_volcano(out, points, bonferroni_y, args.alpha, m_tests)
 
-    print(csv_text, end="")
+    _echo(csv_text)
     rows = [[p.label, f"{p.effect:.4f}", f"{p.neg_log10_p:.3f}"] for p in points]
     print(_text_table(["label", "log_rr", "-log10(p)"], rows))
     print(f"reference line -log10({args.alpha:g}/{m_tests}) = {bonferroni_y:.3f}")
@@ -254,7 +247,7 @@ def cmd_pool(args: argparse.Namespace) -> None:
     columns, values = zip(*cells)
     csv_text = _write_csv(out / "pooled.csv", columns, [values])
 
-    print(csv_text, end="")
+    _echo(csv_text)
     print(
         f"{result.method}: k={result.k}, pooled RR {math.exp(result.pooled_log):.4f} "
         f"({math.exp(result.ci_low):.4f} to {math.exp(result.ci_high):.4f}), "
@@ -269,11 +262,8 @@ def _write_backcalc(
     out: Path, estimates: list[EffectEstimate], backs: Iterable[BackCalcResult]
 ) -> str:
     """Write backcalc.csv from each estimate and its back-calculation; return its text."""
-    rows = (
-        (estimate.label, back.log_effect, back.se, back.z, back.p)
-        for estimate, back in zip(estimates, backs)
-    )
-    return _write_csv(out / "backcalc.csv", ("label", "log_effect", "se", "z", "p"), rows)
+    rows = ((estimate.label, *back) for estimate, back in zip(estimates, backs))
+    return _write_csv(out / "backcalc.csv", ("label", *BackCalcResult._fields), rows)
 
 
 def cmd_pfromci(args: argparse.Namespace) -> None:
@@ -281,7 +271,7 @@ def cmd_pfromci(args: argparse.Namespace) -> None:
     backs = [p_from_estimate(estimate) for estimate in estimates]
     csv_text = _write_backcalc(_out_dir(args, "pfromci"), estimates, backs)
 
-    print(csv_text, end="")
+    _echo(csv_text)
     rows = [
         [estimate.label, f"{back.log_effect:.5f}", f"{back.se:.5f}",
          f"{back.z:.3f}", f"{back.p:.3g}"]
@@ -348,11 +338,7 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
         if getattr(args, key) is not None:
             given[field] = getattr(args, key)
         elif raw is not None:
-            try:
-                given[field] = parse(raw)
-            except ValueError:
-                kind = "an integer" if parse is int else "a number"
-                raise ValidationError(f"{args.infile}: key '{key}': not {kind}: {raw!r}") from None
+            given[field] = datasets._parse(parse, raw, key, f"{args.infile}: key")
         elif needs:
             raise ValidationError(f"simulate needs {needs} (--{key} or config file)")
     try:
@@ -398,8 +384,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         print(f"regime {cfg.regime}: wrote {cfg.replicates} replicate(s) of m={cfg.m} "
               f"p-values ({exc})")
         return
-    csv_text = _write_csv(out / "shape_stats.csv", simulate.ShapeStats._fields, [stats])
-    print(csv_text, end="")
+    _echo(_write_csv(out / "shape_stats.csv", simulate.ShapeStats._fields, [stats]))
     print(
         f"regime {cfg.regime}: mean frac p<=0.05 {stats.mean_frac_le_005:.4f}, "
         f"mean KS D {stats.mean_ks_d:.4f}, "

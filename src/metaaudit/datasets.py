@@ -2,7 +2,9 @@
 
 Three file schemas, all plain comma-separated UTF-8 with a header row,
 optional comments (records whose first line starts with an unquoted ``#``)
-and no row longer than the header:
+and no row longer than the header. Each schema is the fields of the record
+its rows load as, in order, and ``_parse`` parses and words every number and
+boolean cell:
 
 * counts: ``citation,author,outcomes,predictors,covariates,lags`` with
   optional ``space1,space2,space3`` columns. Printed space columns are
@@ -146,29 +148,24 @@ def _open_table(
     return path, columns, rows
 
 
-def _parse_int(name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"field '{name}': not an integer: {raw!r}") from None
-
-
-def _parse_float(name: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"field '{name}': not a number: {raw!r}") from None
-
-
 # Each boolean cell, lowered, and the value it means.
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_bool(name: str, raw: str) -> bool:
+def _bool(raw: str) -> bool:
+    return _BOOLS[raw.lower()]
+
+
+# Each cell parser, and what a cell it cannot parse is not.
+_IS_NOT = {int: "an integer", float: "a number", _bool: "a boolean"}
+
+
+def _parse(parse, raw: str, name: str, where: str = "field"):
+    """``parse(raw)``; a cell it cannot parse raises, named ``{where} '{name}'``."""
     try:
-        return _BOOLS[raw.lower()]
-    except KeyError:
-        raise ValidationError(f"field '{name}': not a boolean: {raw!r}") from None
+        return parse(raw)
+    except (ValueError, KeyError):
+        raise ValidationError(f"{where} '{name}': not {_IS_NOT[parse]}: {raw!r}") from None
 
 
 def _table_text(header: Iterable[str], rows: Iterable[Sequence]) -> str:
@@ -195,8 +192,8 @@ def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
         handle.writelines(chunks)
 
 
-_COUNT_COLUMNS = ("citation", "author", "outcomes", "predictors", "covariates", "lags")
-_SPACE_COLUMNS = ("space1", "space2", "space3")
+_COUNT_COLUMNS = StudyCounts.__slots__
+_SPACE_COLUMNS = SearchSpace._fields
 
 
 def load_counts(path: str | Path) -> list[StudyCounts]:
@@ -220,19 +217,15 @@ def load_counts(path: str | Path) -> list[StudyCounts]:
         duplicate citation; messages name the row and field.
     """
     path, columns, rows = _open_table(path, _COUNT_COLUMNS, _SPACE_COLUMNS)
+    cells = [(str if name == "author" else int, columns[name], name) for name in _COUNT_COLUMNS]
     records: list[StudyCounts] = []
     seen: set[int] = set()
     for lineno, row in rows:
         try:
-            values = {
-                name: _parse_int(name, row[columns[name]])
-                for name in ("citation", "outcomes", "predictors", "covariates", "lags")
-            }
-            record = StudyCounts(author=row[columns["author"]], **values)
-            space = compute_space(record)
-            for name, computed in zip(_SPACE_COLUMNS, space):
+            record = StudyCounts(*[_parse(parse, row[i], name) for parse, i, name in cells])
+            for name, computed in zip(_SPACE_COLUMNS, compute_space(record)):
                 raw = row[columns[name]] if name in columns else ""
-                printed = _parse_int(name, raw) if raw else computed
+                printed = _parse(int, raw, name) if raw else computed
                 if printed != computed:
                     raise ValidationError(
                         f"field '{name}': printed value {printed} "
@@ -247,7 +240,7 @@ def load_counts(path: str | Path) -> list[StudyCounts]:
     return records
 
 
-_PVALUE_COLUMNS = ("citation", "author", "endpoint", "p", "direction_negative")
+_PVALUE_COLUMNS = PValueRecord.__slots__[:-1]  # truncated is the p cell's "<"
 
 
 def _pvalue_rows(path: str | Path) -> Iterator[tuple[int, str, str, float, bool, bool]]:
@@ -265,9 +258,9 @@ def _pvalue_rows(path: str | Path) -> Iterator[tuple[int, str, str, float, bool,
             continue
         try:
             truncated = raw_p.startswith("<")
-            p = _parse_float("p", raw_p[1:] if truncated else raw_p)
-            citation = _parse_int("citation", row[i_citation])
-            negative = _parse_bool("direction_negative", row[i_negative])
+            p = _parse(float, raw_p[1:] if truncated else raw_p, "p")
+            citation = _parse(int, row[i_citation], "citation")
+            negative = _parse(_bool, row[i_negative], "direction_negative")
             endpoint = row[i_endpoint]
             p = _check_reported(citation, endpoint, p)
             key = (citation, endpoint)
@@ -418,7 +411,7 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
     return [record for columns in _pvalue_columns(path) for record in map(PValueRecord, *columns)]
 
 
-_EFFECT_COLUMNS = ("label", "rr", "ci_low", "ci_high")
+_EFFECT_COLUMNS = EffectEstimate.__slots__  # level, the last, is optional
 
 
 def load_effects(path: str | Path) -> list[EffectEstimate]:
@@ -440,21 +433,16 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
     ValidationError
         Malformed rows or an interval that does not bracket its estimate.
     """
-    path, columns, rows = _open_table(path, _EFFECT_COLUMNS, ("level",))
+    path, columns, rows = _open_table(path, _EFFECT_COLUMNS[:-1], _EFFECT_COLUMNS[-1:])
+    cells = [(str if name == "label" else float, columns[name], name)
+             for name in _EFFECT_COLUMNS[:-1]]
     records: list[EffectEstimate] = []
     for lineno, row in rows:
         try:
             raw_level = row[columns["level"]] if "level" in columns else ""
-            level = _parse_float("level", raw_level) if raw_level else 0.95
-            records.append(
-                EffectEstimate(
-                    label=row[columns["label"]],
-                    rr=_parse_float("rr", row[columns["rr"]]),
-                    ci_low=_parse_float("ci_low", row[columns["ci_low"]]),
-                    ci_high=_parse_float("ci_high", row[columns["ci_high"]]),
-                    level=level,
-                )
-            )
+            level = _parse(float, raw_level, "level") if raw_level else 0.95
+            values = [_parse(parse, row[i], name) for parse, i, name in cells]
+            records.append(EffectEstimate(*values, level))
         except ValidationError as exc:
             raise type(exc)(f"{path}: row {lineno}: {exc}") from None
     return records
@@ -463,10 +451,7 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
 def _counts_text(records: list[StudyCounts]) -> tuple[list[SearchSpace], str]:
     """The records' spaces, and their counts CSV text with the space columns."""
     spaces = [compute_space(r) for r in records]
-    rows = (
-        (r.citation, r.author, r.outcomes, r.predictors, r.covariates, r.lags, *s)
-        for r, s in zip(records, spaces)
-    )
+    rows = ((*r.__getstate__(), *s) for r, s in zip(records, spaces))
     return spaces, _table_text(_COUNT_COLUMNS + _SPACE_COLUMNS, rows)
 
 
@@ -489,8 +474,7 @@ def save_pvalues(records: list[PValueRecord], path: str | Path) -> None:
 
 def save_effects(records: list[EffectEstimate], path: str | Path) -> None:
     """Write effect estimates as CSV with an explicit level column."""
-    rows = ((r.label, r.rr, r.ci_low, r.ci_high, r.level) for r in records)
-    _write_text(path, (_table_text(_EFFECT_COLUMNS + ("level",), rows),))
+    _write_text(path, (_table_text(_EFFECT_COLUMNS, map(EffectEstimate.__getstate__, records)),))
 
 
 def load_dataset(

@@ -40,6 +40,15 @@ P_FLOOR = 1e-300
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
+# Each C0 and C1 control character, DEL, U+2028, U+2029, U+FFFE and U+FFFF as its repr
+# escape ("\\n", "\\x85", "\\u2028"): every character at which str.splitlines breaks a
+# line or that XML 1.0 text may not hold, bar surrogates. Printed tables and SVG text
+# show them escaped, no endpoint label may hold one, and the CSV files keep the text.
+_CONTROL_ESCAPES = {
+    code: repr(chr(code))[1:-1]
+    for code in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029, 0xFFFE, 0xFFFF)
+}
+
 
 def _shown(value: object) -> str:
     """``repr`` of a caller's value for an error message, for integers of any length."""

@@ -6,12 +6,17 @@ SVG 1.1 text, so golden-file comparisons are valid tests. No timestamps, no
 randomness, fixed two-decimal coordinate formatting. Axes and tick marks are
 drawn as paths; ``<line>`` elements are reserved for statistical reference
 lines, which keeps the document easy to check structurally.
+
+The output is well-formed XML for any text that holds no surrogate: SVG text
+shows each character of ``statcore._CONTROL_ESCAPES`` as its escape, as the
+printed tables do, and the comment has every ``--`` broken apart.
 """
 
 from __future__ import annotations
 
 from .diagnostics import PValuePlotSeries, VolcanoPoint
 from .errors import ValidationError
+from .statcore import _CONTROL_ESCAPES
 
 __all__ = ["render_pplot_svg", "render_volcano_svg"]
 
@@ -23,10 +28,13 @@ def _fmt(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
+# XML character data: the three characters xml.sax.saxutils.escape escapes, and the
+# characters XML may not hold or that would break a line, as the printed tables show them.
+_TEXT_ESCAPES = {**_CONTROL_ESCAPES, ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
+
+
 def _escape(text: str) -> str:
-    # XML character-data escape, as xml.sax.saxutils.escape without entities;
-    # "&" goes first so the other two replacements are not escaped again.
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_TEXT_ESCAPES)
 
 
 class _Frame:
@@ -87,7 +95,9 @@ class _Frame:
             *segments, *guides,
         ])
         # "--" may not appear inside an XML comment, and the comment can hold user text.
-        safe = comment.replace("--", "- -")
+        safe = comment.translate(_CONTROL_ESCAPES)
+        while "--" in safe:  # "---" becomes "- --" in the first pass
+            safe = safe.replace("--", "- -")
         marks[:0] = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             *([f"<!-- {safe} -->"] if comment else []),

@@ -1092,3 +1092,20 @@ def test_printed_table_rows_stay_on_one_line_past_c0(tmp_path, capsys, command, 
     first, second = lines[start + 2:start + 4]
     assert first.startswith(shown + "  ") and second.startswith("CO ")
     assert read_table(tmp_path / "o" / table)[0][0] == label
+
+
+@pytest.mark.parametrize("command, table",
+                         [("volcano", "volcano.csv"), ("pfromci", "backcalc.csv")])
+def test_echoed_csv_keeps_one_stdout_line_per_record(tmp_path, capsys, command, table):
+    label = "c\x85d"  # csv does not quote U+0085, but str.splitlines breaks at it
+    effects = tmp_path / "effects.csv"
+    effects.write_text(f"label,rr,ci_low,ci_high\n{label},1.05,1.01,1.09\nCO,1.048,1.026,1.070\n",
+                       encoding="utf-8")
+    assert run([command, "--in", str(effects)], tmp_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    written = (tmp_path / "o" / table).read_text(encoding="utf-8")
+    records = written.split("\n")[:-1]
+    start = lines.index(records[0])
+    assert lines[start:start + 3] == [records[0], records[1].replace("\x85", r"\x85"), records[2]]
+    assert records[1].startswith(label + ",")  # the CSV keeps the text as it is
+    assert read_table(tmp_path / "o" / table)[0][0] == label

@@ -16,6 +16,7 @@ in the last bit.
 """
 
 import hashlib
+from xml.etree import ElementTree
 
 import pytest
 
@@ -167,3 +168,13 @@ def test_outputs_match_golden_hashes(run, tmp_path, capsys):
     assert written == GOLDEN[run]
     stdout = capsys.readouterr().out.replace(str(out), "<out>")
     assert hashlib.sha256(stdout.encode()).hexdigest() == STDOUT[run]
+
+
+@pytest.mark.parametrize(
+    "run", sorted(run for run in RUNS if any(name.endswith(".svg") for name in GOLDEN[run]))
+)
+def test_every_written_svg_is_well_formed_xml(run, tmp_path):
+    out = tmp_path / run
+    assert main(RUNS[run] + ["--out", str(out)]) == 0
+    for path in sorted(out.glob("*.svg")):
+        ElementTree.parse(path)  # raises ParseError on text that is not well-formed

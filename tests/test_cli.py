@@ -224,12 +224,15 @@ def test_pplot_non_utf8_input_is_validation_error(tmp_path, capsys):
     assert str(bad) in err and "UTF-8" in err
 
 
-@pytest.mark.parametrize("label", ["a/b", "x/../../escaped", "a\\b"])
+# 250 E and 125 é are 250 bytes each in UTF-8, so pplot_<label>.svg would be 260.
+@pytest.mark.parametrize("label", ["a/b", "x/../../escaped", "a\\b",
+                                   pytest.param("E" * 250, id="250 E"),
+                                   pytest.param("é" * 125, id="125 é")])
 def test_pplot_endpoint_label_must_be_one_file_name(tmp_path, capsys, label):
     data = tmp_path / "labels.csv"
     data.write_text(
         "citation,author,endpoint,p,direction_negative\n"
-        f"1,a,{label},0.01,false\n2,b,{label},0.4,false\n"
+        f"1,a,{label},0.01,false\n2,b,{label},0.4,false\n", encoding="utf-8"
     )
     out = tmp_path / "o"
     (out / "pplot_x").mkdir(parents=True)  # lets "pplot_x/../../escaped" resolve
@@ -266,6 +269,16 @@ def test_pplot_endpoint_label_with_a_control_character_is_rejected(tmp_path, cap
         "it contains '/', '\\' or a control character\n"
     )
     assert not (tmp_path / "o").exists()
+
+
+def test_pplot_endpoint_label_of_the_longest_file_name_is_written(tmp_path):
+    label = "E" * 245  # pplot_<label>.svg is 255 bytes
+    data = tmp_path / "labels.csv"
+    data.write_text(f"{PVALUES_HEADER}\n1,a,{label},0.01,false\n")
+    assert run(["pplot", "--in", str(data), "--endpoint", label], tmp_path) == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "diagnostics.csv", f"pplot_{label}.csv", f"pplot_{label}.svg"
+    ]
 
 
 # --------------------------------------------------------------- volcano

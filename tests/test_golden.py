@@ -2,7 +2,7 @@
 
 These pins make "byte-identical output" checkable across changes, not just
 between two runs in a row. The single commands are pinned next to
-``report``, which writes the same tables through the same writers, so
+``report``, which writes the same tables through the same builders, so
 neither side can drift unnoticed. Stdout is hashed with the output
 directory replaced by ``<out>``. A change that alters output on purpose
 updates the pins here and says so in CHANGES.md.
@@ -12,7 +12,10 @@ with glibc 2.36. Another numpy may draw different variates from the same
 seed. The normal quantile, the two-sided p-values and the Kolmogorov tail
 go through ``math.erf``/``math.erfc``/``math.exp``, which call the
 platform's C math library (libm); another libm may round them differently
-in the last bit.
+in the last bit. Under CPython 3.10.13, 3.12.1 and 3.13.0 on the same
+platform, the files and stdout of the 10 runs other than ``simulate`` matched
+these pins; those interpreters had no numpy, so the 3 ``simulate`` runs were
+not checked there.
 """
 
 import hashlib

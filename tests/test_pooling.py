@@ -189,3 +189,8 @@ def test_pooling_preconditions():
         pool_fixed([])
     with pytest.raises(ValidationError):
         pool_random_dl([estimate_from(0.1, 0.1)])
+    # Beside a weight of about 4e20 one of 8 vanishes, so sum(w) - sum(w**2)/sum(w) is 0.
+    dwarfed = [EffectEstimate(label="A", rr=1.0, ci_low=0.9999999999, ci_high=1.0000000001),
+               EffectEstimate(label="B", rr=2.0, ci_low=1.0, ci_high=4.0)]
+    with pytest.raises(ValidationError, match="dwarfs"):
+        pool_random_dl(dwarfed)

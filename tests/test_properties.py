@@ -1,9 +1,10 @@
-"""Property tests of the command-line contract: any input bytes and any
-integer, float or seed setting give exit 0 or 2, an exit 2 prints exactly one
-stderr line and leaves no ``--out`` directory, and no exception escapes
-``main``. Then two invariants of the shape diagnostics on arbitrary series, and
-two of the statistics: the ``p_from_estimate`` round trip, and DerSimonian-Laird
-pooling with tau2 = 0 equal to fixed-effect pooling."""
+"""Property tests of the command-line contract: any input bytes, any
+integer, float or seed setting, and effects whose intervals span many orders
+of magnitude give exit 0 or 2, an exit 2 prints exactly one stderr line and
+leaves no ``--out`` directory, and no exception escapes ``main``. Then two
+invariants of the shape diagnostics on arbitrary series, and two of the
+statistics: the ``p_from_estimate`` round trip, and DerSimonian-Laird pooling
+with tau2 = 0 equal to fixed-effect pooling."""
 
 import bisect
 import contextlib
@@ -176,6 +177,30 @@ def test_any_simulate_float_keeps_the_exit_contract(flag, value):
 def test_any_seed_keeps_the_exit_contract(seed):
     argv = ["simulate", "--regime", "null", "--m", "6", "--replicates", "1", f"--seed={seed!r}"]
     assert_contract(*run_main(argv))
+
+
+# One effects row: a log risk ratio and the log half-width of its interval, which
+# runs from 1e-12 to about 100, so that one study's weight may dwarf the others'.
+EFFECT_ROWS = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(1.0, 10.0, exclude_max=True), st.integers(-12, 1)),
+    min_size=2, max_size=6,
+)
+
+
+@SETTINGS
+@given(rows=EFFECT_ROWS)
+def test_effects_of_any_interval_width_keep_the_exit_contract(rows):
+    lines = ["label,rr,ci_low,ci_high"]
+    for index, (log_rr, mantissa, exponent) in enumerate(rows):
+        half = mantissa * 10.0**exponent
+        cells = (math.exp(log_rr), math.exp(log_rr - half), math.exp(log_rr + half))
+        lines.append(f"s{index}," + ",".join(map(repr, cells)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "effects.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for argv in (["pool", "--method", "dl"], ["pool", "--method", "fixed"], ["volcano"],
+                     ["pfromci"]):
+            assert_contract(*run_main([*argv, "--in", str(path)]))
 
 
 def ecdf_distance(p):

@@ -219,6 +219,12 @@ def cmd_pool(args: argparse.Namespace) -> tuple[list[_File], str]:
         result = pooling.pool_fixed(estimates)
     else:
         result = pooling.pool_random_dl(estimates)
+    try:
+        rr, rr_low, rr_high = map(math.exp, (result.pooled_log, result.ci_low, result.ci_high))
+    except OverflowError:
+        raise ValidationError(
+            f"pooled interval upper limit exp({result.ci_high!r}) is past the float range"
+        ) from None
 
     cells = (
         ("method", result.method),
@@ -227,9 +233,9 @@ def cmd_pool(args: argparse.Namespace) -> tuple[list[_File], str]:
         ("pooled_se", result.pooled_se),
         ("ci_low", result.ci_low),
         ("ci_high", result.ci_high),
-        ("pooled_rr", math.exp(result.pooled_log)),
-        ("rr_ci_low", math.exp(result.ci_low)),
-        ("rr_ci_high", math.exp(result.ci_high)),
+        ("pooled_rr", rr),
+        ("rr_ci_low", rr_low),
+        ("rr_ci_high", rr_high),
         ("q_stat", result.q_stat),
         ("tau2", result.tau2),
         ("i2_percent", result.i2_percent),
@@ -237,8 +243,7 @@ def cmd_pool(args: argparse.Namespace) -> tuple[list[_File], str]:
     columns, values = zip(*cells)
     csv_text = datasets._table_text(columns, [values])
     return [("pooled.csv", (csv_text,))], _echo(csv_text) + (
-        f"{result.method}: k={result.k}, pooled RR {math.exp(result.pooled_log):.4f} "
-        f"({math.exp(result.ci_low):.4f} to {math.exp(result.ci_high):.4f}), "
+        f"{result.method}: k={result.k}, pooled RR {rr:.4f} ({rr_low:.4f} to {rr_high:.4f}), "
         f"Q={result.q_stat:.3f}, tau2={result.tau2:.5f}, I2={result.i2_percent:.1f}%\n"
     )
 

@@ -19,9 +19,10 @@ boolean cell:
 p-value files have two readers. ``_pvalue_rows`` reads row by row through
 ``csv.reader``; it is the specification, and the only code that words a
 p-value row error. ``_pvalue_columns``, which ``load_pvalues`` and ``pplot``
-call, checks a plain file (no ``"``, no NUL, no CR outside CRLF) a column at
-a time with builtins, in pieces of whole lines, and hands any other file, or
-any piece it does not take, to ``_pvalue_rows`` from the start.
+call, checks a regular file a column at a time with builtins, in pieces of
+whole lines, and hands the file to ``_pvalue_rows`` from the start at the
+first piece it does not take, such as one that holds a ``"``, a NUL or a CR
+outside a CRLF line end.
 
 One formatter, ``_table_text``, formats the ``save_*`` files and the tables
 of the command line, so every table shares one format, with two exceptions:
@@ -44,7 +45,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from functools import partial
 from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -278,46 +278,27 @@ def _pvalue_rows(path: str | Path) -> Iterator[tuple[int, str, str, float, bool,
         yield citation, row[i_author], endpoint, p, negative, truncated
 
 
-# The column path reads a plain file this many characters at a time, each piece
+# The column path reads a file this many characters at a time, each piece
 # extended to the end of its last line. Below csv's default field size limit, so
 # that only a piece with a longer line needs its lines measured; 2**18 read 1.26
 # times the row path's tracemalloc peak on a 20,000-row file, 2**16 read 0.96.
 _PIECE_CHARS = 1 << 16
 
 
-def _is_plain(path: Path) -> bool:
-    """Whether the file holds no ``"``, no NUL and no CR outside a CRLF line end.
-
-    In such a file every record is one line and every cell is the text between
-    two commas, so ``str.split`` reads it as ``csv.reader`` does. NUL is kept out
-    because Python 3.10's ``csv`` rejects it. The scan runs before the column path,
-    not inside it: folded into ``_plain_columns``, one quoted author in the last row
-    of a 100,000-row file sent ``pplot``'s load to the row path only after a whole
-    column pass, 0.53-0.63 s against 0.40-0.43 s (min of 9, 2-vCPU x86-64 VM).
-    """
-    with open(path, "rb") as handle:
-        for block in iter(partial(handle.read, 1 << 20), b""):
-            if block.endswith(b"\r"):  # a CRLF split over two blocks
-                block += handle.read(1)
-            if b'"' in block or b"\0" in block or (
-                    b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
-                return False
-    return True
-
-
 class _RowPath(Exception):
-    """A piece of a plain file that the column path does not take."""
+    """A piece of a file that the column path does not take."""
 
 
 def _plain_columns(path: Path) -> Iterator[tuple[list, ...]]:
-    """Yield the ``_pvalue_rows`` fields of a plain file as six columns, a piece at a time.
+    """Yield the ``_pvalue_rows`` fields of a file as six columns, a piece at a time.
 
     Each check runs over a whole column with builtins, in any order; the first
     that fails raises ``_RowPath``, and so does anything that the row path
-    might read differently: a header that is not exactly the five columns, a
-    line with other than five cells or longer than ``csv.field_size_limit()``,
-    or text that is not UTF-8. Every endpoint goes through one dict, so that
-    the key set holds one string per distinct endpoint.
+    might read differently: a piece that holds a ``"``, a NUL or a CR outside a
+    CRLF line end, a header that is not exactly the five columns, a line with
+    other than five cells or longer than ``csv.field_size_limit()``, or text
+    that is not UTF-8. Every endpoint goes through one dict, so that the key
+    set holds one string per distinct endpoint.
     """
     limit = csv.field_size_limit()
     names: dict[str, str] = {}
@@ -326,6 +307,12 @@ def _plain_columns(path: Path) -> Iterator[tuple[list, ...]]:
     with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             while text := handle.read(_PIECE_CHARS) + handle.readline():
+                # Without these every record is one line and every cell the text between
+                # two commas, so str.split reads the piece as csv.reader does. NUL is kept
+                # out because Python 3.10's csv rejects it.
+                if '"' in text or "\0" in text or (
+                        "\r" in text and text.count("\r") != text.count("\r\n")):
+                    raise _RowPath
                 lines = text.replace("\r\n", "\n").split("\n")
                 if len(text) > limit and max(map(len, lines)) > limit:
                     raise _RowPath
@@ -373,15 +360,18 @@ def _plain_columns(path: Path) -> Iterator[tuple[list, ...]]:
 def _pvalue_columns(path: str | Path) -> Iterator[Sequence[Sequence]]:
     """Yield the fields of ``_pvalue_rows(path)`` as six columns, some rows at a time.
 
-    A plain regular file (see ``_is_plain``) is checked a column at a time; it
-    is read twice, so a pipe is not. Any other file, or a plain one at the
-    first piece the column path does not take, goes to ``_pvalue_rows`` from
-    the start, which yields the rows not yet given or raises its message: the
-    row path stays the specification.
+    A regular file is checked a column at a time by ``_plain_columns``; a
+    pipe, which could not be read again, is not. Any other file, or a regular
+    one at the first piece the column path does not take, goes to
+    ``_pvalue_rows`` from the start, which yields the rows not yet given or
+    raises its message: the row path stays the specification. So a file
+    whose first ``"`` comes in its last row is read twice over: ``pplot``'s load
+    of 100,000 such rows took 0.47 s, against 0.38 s when a whole-file scan
+    chose the path first (min of 7, 2-vCPU x86-64 VM).
     """
     path = Path(path)
     given = 0
-    if path.is_file() and _is_plain(path):
+    if path.is_file():
         try:
             for columns in _plain_columns(path):
                 yield columns

@@ -247,17 +247,20 @@ def _ks_d(p: tuple[float, ...]) -> float:
     return max(max(map(sub, steps[1:], p)), max(map(sub, p, steps)))
 
 
-def _line_sse(k, sx, sy, sxx, syy, sxy) -> float:
+def _line_sse(k, sx, sy, sxx, syy, sxy):
     """SSE of the least-squares line through k >= 2 points at distinct ranks x.
 
-    The arguments are k and the sums of x, y, xx, yy and xy. Distinct ranks
-    keep the centred sum of squares of x, k(k*k - 1)/12, above zero.
+    The arguments are k and the sums of x, y, xx, yy and xy, as floats or as
+    NumPy arrays taken element by element. Distinct ranks keep the centred
+    sum of squares of x, k(k*k - 1)/12, above zero.
     """
     sxx = sxx - sx * sx / k
     syy = syy - sy * sy / k
     sxy = sxy - sx * sy / k
     sse = syy - sxy * sxy / sxx
-    return sse if sse > 0.0 else 0.0  # roundoff leaves an exact line slightly negative
+    # Roundoff leaves an exact line slightly negative. For floats and arrays alike this
+    # is 0.0 at any finite sse <= 0, -0.0 included.
+    return abs(sse) * (sse > 0.0)
 
 
 def _two_segment_fit(p: tuple[float, ...]) -> BilinearityFit:

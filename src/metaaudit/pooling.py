@@ -160,7 +160,9 @@ def pool_random_dl(estimates: list[EffectEstimate]) -> PooledResult:
     from the fixed-effect weights, after which studies are re-weighted by
     ``1 / (se**2 + tau2)`` and pooled as in :func:`pool_fixed`. When the
     studies are homogeneous (Q <= k - 1) the clamp makes the result
-    identical to the fixed-effect one.
+    identical to the fixed-effect one. The denominator is computed as
+    ``2 * sum(w_i * (w_1 + ... + w_{i-1})) / sum(w)``, a sum of positive
+    terms, which does not cancel when one weight dwarfs the others.
 
     Parameters
     ----------
@@ -174,20 +176,19 @@ def pool_random_dl(estimates: list[EffectEstimate]) -> PooledResult:
     Raises
     ------
     ValidationError
-        If fewer than two studies are supplied, or if one study's weight so dwarfs
-        the others that ``sum(w) - sum(w**2)/sum(w)`` is not positive.
+        If fewer than two studies are supplied.
     """
     if len(estimates) < 2:
         raise ValidationError(
             f"random-effects pooling needs at least 2 studies, got {len(estimates)}"
         )
     logs, weights, q_stat = _fixed_effect(estimates)
-    w_sum = sum(weights)
-    c = w_sum - sum(w**2 for w in weights) / w_sum
-    if not c > 0.0:  # the other weights vanish beside the largest in float arithmetic
-        raise ValidationError(
-            "random-effects pooling cannot estimate tau2: one study's weight dwarfs the others"
-        )
+    # A plain loop: sum() of floats is compensated from Python 3.12 on.
+    before = pairs = 0.0
+    for w in weights:
+        pairs += w * before
+        before += w
+    c = 2.0 * pairs / before
     tau2 = max(0.0, (q_stat - (len(estimates) - 1)) / c)
     # With tau2 == 0 these are the fixed weights bit for bit: each w is itself 1 / se**2, and
     # 1 / (1 / w) == w held for every such reciprocal tried (not for about 1 in 7 other doubles).

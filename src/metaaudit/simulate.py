@@ -29,7 +29,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .diagnostics import _FIT_MIN_M, _SSE_LINEAR_EPS, PValueRecord
+from .diagnostics import _FIT_MIN_M, _SSE_LINEAR_EPS, PValueRecord, _line_sse
 from .errors import InsufficientDataError, ValidationError
 from .statcore import _SQRT2, P_FLOOR, _Record, _require_finite, _require_int, _shown
 
@@ -238,17 +238,6 @@ def _ks_d(sorted_p: np.ndarray) -> np.ndarray:
     m = sorted_p.shape[1]
     i = np.arange(1, m + 1, dtype=float)
     return np.maximum(np.max(i / m - sorted_p, axis=1), np.max(sorted_p - (i - 1.0) / m, axis=1))
-
-
-def _line_sse(k, sx, sy, sxx, syy, sxy) -> np.ndarray:
-    """:func:`.diagnostics._line_sse` of arrays of k and of the sums, element by element."""
-    import numpy as np
-
-    sxx = sxx - sx * sx / k
-    syy = syy - sy * sy / k
-    sxy = sxy - sx * sy / k
-    sse = syy - sxy * sxy / sxx
-    return np.where(sse > 0.0, sse, 0.0)
 
 
 def _two_segment_fits(sorted_p: np.ndarray):

@@ -256,11 +256,13 @@ def bonferroni_line(alpha: float, m_tests: int) -> BonferroniLine:
     """Bonferroni-adjusted threshold ``alpha / m`` and its -log10.
 
     The ``neg_log10`` value is where the horizontal reference line sits on
-    a volcano plot's y axis.
+    a volcano plot's y axis. A threshold that underflows to 0 is refused.
     """
     alpha = _require_open_unit("alpha", alpha)
     _require_int("m_tests", m_tests, minimum=1)
     threshold = alpha / _require_finite("m_tests", m_tests)
+    if threshold == 0.0:
+        raise ValidationError(f"alpha={alpha!r} / m_tests={m_tests} underflows to 0")
     return BonferroniLine(threshold=threshold, neg_log10=-math.log10(threshold))
 
 
@@ -339,16 +341,23 @@ def p_from_estimate(estimate: EffectEstimate) -> BackCalcResult:
     Raises
     ------
     DegenerateIntervalError
-        If ``ci_low == ci_high`` (zero width, no recoverable standard error).
+        If the interval has zero width on the log scale (``ci_low == ci_high``, or
+        bounds whose logs round alike), or if the level is so small that
+        ``z_crit(level)`` rounds to 0: no standard error is recoverable.
     """
-    if estimate.ci_low == estimate.ci_high:
+    width = math.log(estimate.ci_high) - math.log(estimate.ci_low)
+    crit = z_crit(estimate.level)
+    if width == 0.0:
         raise DegenerateIntervalError(
             f"{estimate.label}: interval has zero width, cannot recover a standard error"
         )
+    if crit == 0.0:
+        raise DegenerateIntervalError(
+            f"{estimate.label}: level {estimate.level!r} has a critical value of 0, "
+            "cannot recover a standard error"
+        )
     log_effect = math.log(estimate.rr)
-    se = (math.log(estimate.ci_high) - math.log(estimate.ci_low)) / (
-        2.0 * z_crit(estimate.level)
-    )
+    se = width / (2.0 * crit)
     z = log_effect / se
     # 2 * Phi(-|z|) equals 2 * (1 - Phi(|z|)) but keeps tail accuracy.
     p = 2.0 * normal_cdf(-abs(z))

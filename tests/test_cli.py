@@ -292,6 +292,14 @@ def test_volcano_outputs(tmp_path, capsys):
     assert {"volcano.csv", "volcano.svg"} <= set(read_all(tmp_path / "o"))
 
 
+@pytest.mark.parametrize("argv", [["volcano", "--in", str(case_effects_path())],
+                                  ["report", "--fixtures"]], ids=["volcano", "report"])
+def test_an_alpha_that_underflows_over_m_tests_is_one_stderr_line(tmp_path, capsys, argv):
+    assert run([*argv, "--alpha=5e-324"], tmp_path) == 2
+    assert capsys.readouterr().err == "error: alpha=5e-324 / m_tests=6 underflows to 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_volcano_default_m_tests(tmp_path, capsys):
     code = run(["volcano", "--in", str(case_effects_path())], tmp_path)
     assert code == 0
@@ -334,6 +342,36 @@ def test_pfromci_failure_leaves_no_out_directory(tmp_path, capsys):
     assert run(["pfromci", "--in", str(flat)], tmp_path) == 2
     assert capsys.readouterr().err == (
         "error: a: interval has zero width, cannot recover a standard error\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    # z_crit(level) rounds to 0 for every level up to about 1.67e-16.
+    ("label,rr,ci_low,ci_high,level\nA,1.0,0.5,2.0,1e-300\nB,2.0,1.0,4.0,1e-300\n",
+     "error: A: level 1e-300 has a critical value of 0, cannot recover a standard error\n"),
+    # Bounds that differ but whose logs round to the same double.
+    ("label,rr,ci_low,ci_high\nA,1e+300,1e+300,1.0000000000000002e+300\nB,2.0,1.0,4.0\n",
+     "error: A: interval has zero width, cannot recover a standard error\n"),
+], ids=["level rounds to 0", "logs round alike"])
+@pytest.mark.parametrize("argv", [["pool", "--method", "fixed"], ["pool", "--method", "dl"],
+                                  ["volcano"], ["pfromci"]], ids=["fixed", "dl", "volcano",
+                                                                  "pfromci"])
+def test_no_recoverable_standard_error_is_one_stderr_line(tmp_path, capsys, rows, message, argv):
+    path = tmp_path / "effects.csv"
+    path.write_text(rows)
+    code = run([*argv, "--in", str(path)], tmp_path)
+    assert (code, capsys.readouterr().err) == (2, message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["fixed", "dl"])
+def test_pooled_interval_past_the_float_range_is_one_stderr_line(tmp_path, capsys, method):
+    path = tmp_path / "effects.csv"
+    path.write_text("label,rr,ci_low,ci_high\nA,1e+300,1e+200,1e+308\nB,1e+300,1e+200,1e+308\n")
+    assert run(["pool", "--method", method, "--in", str(path)], tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: pooled interval upper limit exp(778.6968987080317) is past the float range\n"
     )
     assert not (tmp_path / "o").exists()
 

@@ -1,6 +1,7 @@
 """Tests for fixed-effect and DerSimonian-Laird pooling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,8 +190,26 @@ def test_pooling_preconditions():
         pool_fixed([])
     with pytest.raises(ValidationError):
         pool_random_dl([estimate_from(0.1, 0.1)])
-    # Beside a weight of about 4e20 one of 8 vanishes, so sum(w) - sum(w**2)/sum(w) is 0.
-    dwarfed = [EffectEstimate(label="A", rr=1.0, ci_low=0.9999999999, ci_high=1.0000000001),
-               EffectEstimate(label="B", rr=2.0, ci_low=1.0, ci_high=4.0)]
-    with pytest.raises(ValidationError, match="dwarfs"):
-        pool_random_dl(dwarfed)
+
+
+def exact_tau2(estimates):
+    """tau2 from the fixed-effect weights and Q, with c = sum(w) - sum(w**2)/sum(w) exact."""
+    weights = [Fraction(1.0 / p_from_estimate(e).se ** 2) for e in estimates]
+    total = sum(weights)
+    c = total - sum(w * w for w in weights) / total
+    return max(0.0, float((Fraction(pool_fixed(estimates).q_stat) - (len(estimates) - 1)) / c))
+
+
+@pytest.mark.parametrize("estimates", [
+    # Beside a weight of about 4e20 one of 8 vanishes: sum(w) - sum(w**2)/sum(w) gives 0.
+    [EffectEstimate(label="A", rr=1.0, ci_low=0.9999999999, ci_high=1.0000000001),
+     EffectEstimate(label="B", rr=2.0, ci_low=1.0, ci_high=4.0)],
+    # A log half-width of 1e-8 beside two ordinary studies: that form gives c = 64.0, not 62.72.
+    [EffectEstimate(label="A", rr=1.0, ci_low=math.exp(-1e-8), ci_high=math.exp(1e-8)),
+     EffectEstimate(label="B", rr=2.0, ci_low=1.0, ci_high=4.0),
+     EffectEstimate(label="C", rr=1.5, ci_low=1.0, ci_high=2.25)],
+], ids=["dwarfed pair", "dwarfed triple"])
+def test_dl_tau2_does_not_cancel_when_one_weight_dwarfs_the_others(estimates):
+    tau2 = pool_random_dl(estimates).tau2
+    assert tau2 > 0.0
+    assert tau2 == pytest.approx(exact_tau2(estimates), rel=1e-14)

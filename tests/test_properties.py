@@ -149,7 +149,7 @@ def test_any_simulate_config_bytes_keep_the_exit_contract(body):
 
 # Every float, NaN and both infinities included. Passed as --flag=<repr> so
 # that a leading '-' reaches the parser as a value.
-FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, 1.0, 0.05, 0.5, 1e-300, 1e300]))
+FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, 1.0, 0.05, 0.5, 1e-300, 5e-324, 1e300]))
 
 
 @SETTINGS
@@ -179,10 +179,20 @@ def test_any_seed_keeps_the_exit_contract(seed):
     assert_contract(*run_main(argv))
 
 
-# One effects row: a log risk ratio and the log half-width of its interval, which
-# runs from 1e-12 to about 100, so that one study's weight may dwarf the others'.
+# One effects row: a log risk ratio up to +-700, the log half-width of its interval,
+# from 1e-16 to about 100, so that one study's weight may dwarf the others' and bounds
+# near 1e300 may differ while their logs round alike, and an optional level, so small
+# at 1e-300 and 1e-17 that its critical value rounds to 0. The extremes are also
+# drawn as samples, so that the derandomized run reaches them. The bounds are
+# rr * exp(+-half): a half-width below an ulp of log(rr) still moves them.
 EFFECT_ROWS = st.lists(
-    st.tuples(st.floats(-3.0, 3.0), st.floats(1.0, 10.0, exclude_max=True), st.integers(-12, 1)),
+    st.tuples(
+        st.one_of(st.floats(-700.0, 700.0), st.sampled_from([-700.0, 700.0, math.log(1e300)])),
+        st.one_of(st.builds(float.__mul__, st.floats(1.0, 10.0, exclude_max=True),
+                            st.integers(-16, 1).map(lambda e: 10.0**e)),
+                  st.sampled_from([1e-16, 2e-16, 1e-8])),
+        st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from([0.95, 1e-300, 1e-17])),
+    ),
     min_size=2, max_size=6,
 )
 
@@ -190,11 +200,14 @@ EFFECT_ROWS = st.lists(
 @SETTINGS
 @given(rows=EFFECT_ROWS)
 def test_effects_of_any_interval_width_keep_the_exit_contract(rows):
-    lines = ["label,rr,ci_low,ci_high"]
-    for index, (log_rr, mantissa, exponent) in enumerate(rows):
-        half = mantissa * 10.0**exponent
-        cells = (math.exp(log_rr), math.exp(log_rr - half), math.exp(log_rr + half))
-        lines.append(f"s{index}," + ",".join(map(repr, cells)))
+    levels = any(level is not None for _, _, level in rows)
+    lines = ["label,rr,ci_low,ci_high" + ",level" * levels]
+    for index, (log_rr, half, level) in enumerate(rows):
+        rr = math.exp(log_rr)
+        cells = [repr(rr), repr(rr * math.exp(-half)), repr(rr * math.exp(half))]
+        if levels:
+            cells.append("" if level is None else repr(level))
+        lines.append(f"s{index}," + ",".join(cells))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "effects.csv"
         path.write_text("\n".join(lines) + "\n")

@@ -2,12 +2,12 @@
 
 ``datasets._pvalue_rows`` reads a file row by row through ``csv.reader`` and
 is the specification: it checks every row and writes every error message.
-``datasets._pvalue_columns`` checks a plain file a column at a time and hands
-any other file, or any piece it does not take, to the row path from the
-start. So ``load_pvalues`` and ``pplot`` must give what the row path gives on
-any bytes, or raise its exact message. Then the large-input pins: the bytes of
-``pplot`` on a seeded 20,000-row file, pinned before the column path existed,
-and its working memory against the row path's.
+``datasets._pvalue_columns`` checks a regular file a column at a time and
+hands a pipe, or a file at the first piece it does not take, to the row path
+from the start. So ``load_pvalues`` and ``pplot`` must give what the row path
+gives on any bytes, or raise its exact message. Then the large-input pins:
+the bytes of ``pplot`` on a seeded 20,000-row file, pinned before the column
+path existed, and its working memory against the row path's.
 """
 
 import contextlib
@@ -202,20 +202,60 @@ def test_a_short_row_and_a_long_row_do_not_pair_up(tmp_path):
 def test_plain_files_have_no_quote_nul_or_lone_cr(tmp_path, data, plain):
     path = tmp_path / "p.csv"
     path.write_text(data, encoding="utf-8", newline="")
-    assert datasets._is_plain(path) is plain
+    if plain:
+        columns = list(datasets._plain_columns(path))
+        assert [row for part in columns for row in zip(*part)] == list(datasets._pvalue_rows(path))
+    else:
+        with pytest.raises(datasets._RowPath):
+            list(datasets._plain_columns(path))
 
 
-def test_a_crlf_split_over_two_scan_blocks_is_plain(tmp_path):
-    head = HEADER + "\r\n"
-    size = (1 << 20) - 1 - len(head)  # comment bytes before the CR that ends the first block
-    comments = ("#" * 998 + "\r\n") * (size // 1000)
-    text = head + comments + "#" * (size - len(comments)) + "\r\n1,a,x,0.5,false\r\n"
+def test_a_crlf_split_over_two_pieces_is_plain(tmp_path):
+    text = HEADER + "\r\n1,a,x,0.5,false\r\n2,b,x,0.25,true\r\n"
     path = tmp_path / "p.csv"
     path.write_bytes(text.encode())
-    assert text.encode()[(1 << 20) - 2:(1 << 20) + 1] == b"#\r\n"
-    assert datasets._is_plain(path)
-    columns = list(datasets._plain_columns(path))
-    assert [row for part in columns for row in zip(*part)] == [(1, "a", "x", 0.5, False, False)]
+    # Each piece size in turn ends a piece between a CR and its LF.
+    for piece in (len(HEADER) + 1, text.index("\r\n2") + 1):
+        assert text[piece - 1:piece + 1] == "\r\n"
+        with mock.patch.object(datasets, "_PIECE_CHARS", piece):
+            columns = list(datasets._plain_columns(path))
+        assert [row for part in columns for row in zip(*part)] == list(datasets._pvalue_rows(path))
+
+
+@pytest.mark.parametrize("late", ['"', "\x00", "\r"], ids=["quote", "NUL", "lone CR"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad row"])
+def test_a_late_quote_nul_or_lone_cr_gives_what_the_row_path_gives(tmp_path, late, bad):
+    lines = [HEADER] + [f"{n},a{n},NO2,0.5,false" for n in range(1, 41)]
+    if bad:
+        lines[35] = lines[35].replace("0.5", "1.5")
+    if late == "\r":  # a line end of its own
+        lines[30:32] = [lines[30] + late + lines[31]]
+    else:
+        lines[30] = lines[30].replace(",a30,", f",a{late}30,")
+    path = tmp_path / "p.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    with mock.patch.object(datasets, "_PIECE_CHARS", 64):
+        assert next(datasets._plain_columns(path))  # the first piece takes the column path
+        expected = outcome(list, datasets._pvalue_rows(path))
+        assert ("row 36: " in expected) is bad
+        records = outcome(lambda: [r.__getstate__() for r in load_pvalues(path)])
+        assert records == expected
+        wanted = expected if bad else repr([0.5] * 40)
+        assert outcome(_endpoint_p, str(path), "NO2") == wanted
+
+
+@pytest.mark.parametrize("load", [load_pvalues, lambda path: _endpoint_p(str(path), "NO2")],
+                         ids=["load_pvalues", "pplot"])
+def test_a_plain_file_is_opened_once(load):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    with mock.patch.object(datasets, "open", counting_open, create=True):
+        load(case_pvalues_path())
+    assert opened == [case_pvalues_path()]
 
 
 def test_the_bundled_file_takes_the_column_path():

@@ -11,17 +11,17 @@ Subcommands map one-to-one onto the library workflows:
 * ``report``    bundled case-study fixtures -> the full audit bundle
 
 Every command is non-interactive, reads only the named inputs, and writes
-only beneath the output directory (default ``./out/<command>/``). A
-``cmd_*`` function only computes: it creates nothing and returns its files,
-as ``(name, chunks)`` pairs in write order, and the text to print. ``main``
-alone creates the directory and writes each file through
-``datasets._write_text``, printing one ``# wrote <path>`` line after each;
-then it prints the text. ``spaces``, ``pplot``, ``pfromci`` and ``volcano``
-are each a loader plus a builder (``_spaces``, ``_pplots``, ``_backcalc``,
-``_volcano``) that runs the analysis on loaded inputs and returns those files
-and that text; ``report`` joins the four builders' files. A plot's text and
-``pvalues.csv`` are built only as ``main`` writes them, so at most one large
-text is held at a time.
+only beneath the output directory (default ``./out/<command>/``), every
+byte through ``datasets``: this module opens no file. A ``cmd_*`` function
+only computes: it creates nothing and returns its files, as ``(name,
+chunks)`` pairs in write order, and the text to print. ``main`` alone
+creates the directory and writes each file through ``datasets._write_text``,
+printing one ``# wrote <path>`` line after each; then it prints the text.
+``spaces``, ``pplot``, ``pfromci`` and ``volcano`` are each a loader plus a
+builder (``_spaces``, ``_pplots``, ``_backcalc``, ``_volcano``) that runs the
+analysis on loaded inputs and returns those files and that text; ``report``
+joins the four builders' files. A plot's text and ``pvalues.csv`` are built
+only as ``main`` writes them, so at most one large text is held at a time.
 Outputs are byte-identical across re-runs on unchanged inputs; the only
 randomness anywhere is in ``simulate`` and is pinned by its required
 ``--seed``. An input file may start with a UTF-8 byte-order mark.
@@ -41,11 +41,11 @@ import argparse
 import math
 import os
 import sys
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from . import datasets, diagnostics, pooling, simulate, svgplot
+from .datasets import _endpoint_p
 from .errors import InsufficientDataError, ValidationError
 from .searchspace import SpaceSummary, StudyCounts, summarize_spaces
 from .statcore import _CONTROL_ESCAPES, BackCalcResult, EffectEstimate, p_from_estimate
@@ -79,10 +79,6 @@ def _text_table(headers: Sequence[str], rows: list[list[str]]) -> str:
                    + "\n" for line in lines)
 
 
-def _round_half_up(value: float) -> int:
-    return int(math.floor(value + 0.5))
-
-
 def _load_rows(load, path: str) -> list:
     rows = load(path)
     if not rows:
@@ -101,7 +97,7 @@ def _spaces(records: list[StudyCounts]) -> tuple[list[_File], str]:
     spaces, spaces_csv = datasets._counts_text(records)
     summary = summarize_spaces(spaces)
     summary_csv = datasets._table_text(_SUMMARY_COLUMNS, zip(_STATS, *summary))
-    rows = [[stat, *(f"{_round_half_up(value):,}" for value in values)]
+    rows = [[stat, *(f"{math.floor(value + 0.5):,}" for value in values)]
             for stat, *values in zip(_STATS, *summary)]
     files = [("spaces.csv", (spaces_csv,)), ("space_summary.csv", (summary_csv,))]
     return files, _echo(summary_csv) + _text_table(_SUMMARY_COLUMNS, rows)
@@ -133,15 +129,6 @@ def _diagnostics_row(series: diagnostics.PValuePlotSeries) -> list:
     return row
 
 
-def _ranked_lines(series: diagnostics.PValuePlotSeries) -> Iterator[str]:
-    """Yield the pplot CSV: its header, then every (rank, p) row as one text."""
-    yield "rank,p\n"
-    # Formatted by hand, not by the dataset writer: every cell is a number, so none
-    # needs quoting, and csv.writer took about 1.5 times as long on 79,600
-    # (rank, p) rows (Python 3.11, 2-vCPU x86-64 VM).
-    yield "".join(map("%d,%r\n".__mod__, enumerate(series.p, start=1)))
-
-
 def _pplots(plots: Sequence[diagnostics.PValuePlotSeries],
             source: str = "") -> tuple[list[_File], str]:
     """pplot_<endpoint>.csv and .svg per series, then diagnostics.csv, and their text.
@@ -164,7 +151,7 @@ def _pplots(plots: Sequence[diagnostics.PValuePlotSeries],
             )
         comment = f"p-value plot, endpoint {series.endpoint}{source}"
         svg = _later(svgplot.render_pplot_svg, series, comment=comment)
-        files += [(f"pplot_{series.endpoint}.csv", _ranked_lines(series)),
+        files += [(f"pplot_{series.endpoint}.csv", datasets._ranked_lines(series)),
                   (f"pplot_{series.endpoint}.svg", svg)]
     diagnostics_csv = datasets._table_text(_DIAG_COLUMNS, map(_diagnostics_row, plots))
     files.append(("diagnostics.csv", (diagnostics_csv,)))
@@ -172,14 +159,6 @@ def _pplots(plots: Sequence[diagnostics.PValuePlotSeries],
         f"endpoint {series.endpoint}: m={series.m}, "
         f"fraction of p <= {series.alpha:g}: {series.frac_le_alpha:.3f}\n" for series in plots
     )
-
-
-def _endpoint_p(path: str, endpoint: str) -> list[float]:
-    """The p-values of one endpoint; every row of the file is validated."""
-    p: list[float] = []
-    for _, _, endpoints, values, _, _ in datasets._pvalue_columns(path):
-        p += compress(values, map(endpoint.__eq__, endpoints))
-    return p
 
 
 def cmd_pplot(args: argparse.Namespace) -> tuple[list[_File], str]:
@@ -283,40 +262,13 @@ _SETTINGS = {
 }
 
 
-def _read_config(path: Path) -> dict[str, str]:
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    values: dict[str, str] = {}
-    key_lines: dict[str, int] = {}
-    # Lines end where the CSV loaders end them: read_text has made "\r" and "\r\n" "\n".
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _SETTINGS:
-            raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
-        if key in key_lines:
-            raise ValidationError(
-                f"{path}: line {lineno}: key {key!r} repeats line {key_lines[key]}"
-            )
-        key_lines[key] = lineno
-        values[key] = value.strip()
-    return values
-
-
 def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
     """SimConfig from the flags over the config file; SimConfig holds the defaults.
 
     A flag the run never reads is rejected, so that it cannot pass unnoticed.
     Config-file keys are not checked: one file may serve several regimes.
     """
-    file_values = _read_config(Path(args.infile)) if args.infile else {}
+    file_values = datasets._read_config(args.infile, _SETTINGS) if args.infile else {}
     given = {}
     for key, (field, parse, needs, *_) in _SETTINGS.items():
         raw = file_values.get(key)
@@ -341,26 +293,11 @@ def _build_sim_config(args: argparse.Namespace) -> simulate.SimConfig:
     return cfg
 
 
-def _pvalue_lines(cfg: simulate.SimConfig, p) -> Iterator[str]:
-    """Yield the pvalues.csv header, then one replicate's text at a time, never the whole."""
-    # Joined by hand, not by the dataset formatter: the cells are numbers and a
-    # regime name from REGIMES, so none needs quoting, and csv.writer took about
-    # 1.7 times as long on the 300,000 rows of a 10,000-replicate run (Python
-    # 3.11, 2-vCPU x86-64 VM).
-    yield "replicate,citation,author,endpoint,p\n"
-    middles = [f",{study},{simulate.RECORD_AUTHOR},{cfg.regime}," for study in range(1, cfg.m + 1)]
-    for index, row in enumerate(p):
-        prefix = str(index)
-        yield "".join([
-            prefix + middle + value + "\n"
-            for middle, value in zip(middles, map(repr, row.tolist()))
-        ])
-
-
 def cmd_simulate(args: argparse.Namespace) -> tuple[list[_File], str]:
     cfg = _build_sim_config(args)
     p = simulate.draw_pvalues(cfg)
-    files: list[_File] = [("pvalues.csv", _pvalue_lines(cfg, p))]
+    pvalues_csv = datasets._pvalue_lines(p, cfg.regime, simulate.RECORD_AUTHOR)
+    files: list[_File] = [("pvalues.csv", pvalues_csv)]
 
     try:
         stats = simulate.shape_stats(p)

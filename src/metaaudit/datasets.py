@@ -25,14 +25,11 @@ first piece it does not take, such as one that holds a ``"``, a NUL or a CR
 outside a CRLF line end.
 
 One formatter, ``_table_text``, formats the ``save_*`` files and the tables
-of the command line, so every table shares one format, with two exceptions:
-``cli`` joins the rows of ``pplot_<endpoint>.csv`` and of ``pvalues.csv`` by
-hand, since every cell there is a number or a fixed name that needs no
-quoting. The bytes are the same, and the hand join took 0.081 against 0.117 s
-on 79,600 ``(rank, p)`` rows, and 0.26 against 0.57 s on the 300,000 rows of
-a 10,000-replicate ``simulate`` run (best of 5 and of 3, Python 3.11.7,
-2-vCPU x86-64 VM). One primitive, ``_write_text``, writes every file that
-the package writes.
+of the command line, all but the two long number tables, which
+``_ranked_lines`` and ``_pvalue_lines`` write in the same format.
+``_read_config`` reads the ``key=value`` settings file of ``simulate``. One
+primitive, ``_write_text``, writes every file that the package writes, and no
+other module opens a file.
 
 The package bundles a transcription of a well-known case study: the 34
 base papers of a 2012 meta-analysis of main air pollutants and myocardial
@@ -47,9 +44,9 @@ import io
 import math
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
-from .diagnostics import PValueRecord, _check_reported
+from .diagnostics import PValuePlotSeries, PValueRecord, _check_reported
 from .errors import ValidationError
 from .searchspace import SearchSpace, StudyCounts, compute_space
 from .statcore import EffectEstimate, _Record
@@ -196,6 +193,28 @@ def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write text chunks to ``path`` as UTF-8, line ends as given; no other code writes a file."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(chunks)
+
+
+# The two long tables, joined by hand, not by _table_text: every cell is a number or a
+# name that needs no quoting, so the bytes are the same, and the hand join took 0.081
+# against 0.117 s on 79,600 (rank, p) rows and 0.26 against 0.57 s on the 300,000 rows
+# of a 10,000-replicate simulate run (best of 5 and of 3, Python 3.11.7, 2-vCPU x86-64 VM).
+def _ranked_lines(series: PValuePlotSeries) -> Iterator[str]:
+    """Yield the pplot CSV: its header, then every (rank, p) row as one text."""
+    yield "rank,p\n"
+    yield "".join(map("%d,%r\n".__mod__, enumerate(series.p, start=1)))
+
+
+def _pvalue_lines(p, endpoint: str, author: str) -> Iterator[str]:
+    """Yield the pvalues.csv header, then one replicate's text, a row of ``p``, at a time."""
+    yield "replicate,citation,author,endpoint,p\n"
+    middles = [f",{study},{author},{endpoint}," for study in range(1, p.shape[1] + 1)]
+    for index, row in enumerate(p):
+        prefix = str(index)
+        yield "".join([
+            prefix + middle + value + "\n"
+            for middle, value in zip(middles, map(repr, row.tolist()))
+        ])
 
 
 _COUNT_COLUMNS = StudyCounts.__slots__
@@ -407,6 +426,14 @@ def load_pvalues(path: str | Path) -> list[PValueRecord]:
     return [record for columns in _pvalue_columns(path) for record in map(PValueRecord, *columns)]
 
 
+def _endpoint_p(path: str | Path, endpoint: str) -> list[float]:
+    """The p-values of one endpoint; every row of the file is validated."""
+    p: list[float] = []
+    for _, _, endpoints, values, _, _ in _pvalue_columns(path):
+        p += compress(values, map(endpoint.__eq__, endpoints))
+    return p
+
+
 _EFFECT_COLUMNS = EffectEstimate.__slots__  # level, the last, is optional
 
 
@@ -442,6 +469,35 @@ def load_effects(path: str | Path) -> list[EffectEstimate]:
         except ValidationError as exc:
             raise type(exc)(f"{path}: row {lineno}: {exc}") from None
     return records
+
+
+def _read_config(path: str | Path, keys: Container[str]) -> dict[str, str]:
+    """The ``key=value`` lines of a settings file; each key is one of ``keys``, given once."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
+    # Lines end where the CSV loaders end them: read_text has made "\r" and "\r\n" "\n".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}: line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ValidationError(
+                f"{path}: line {lineno}: key {key!r} repeats line {key_lines[key]}"
+            )
+        key_lines[key] = lineno
+        values[key] = value.strip()
+    return values
 
 
 def _counts_text(records: list[StudyCounts]) -> tuple[list[SearchSpace], str]:

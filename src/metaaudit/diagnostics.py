@@ -29,6 +29,7 @@ from .statcore import (
     _SQRT2PI,
     EffectEstimate,
     _Record,
+    _real,
     _require_finite,
     _require_int,
     _require_open_unit,
@@ -96,20 +97,40 @@ def _check_reported(citation: int, endpoint: str, p: float) -> float:
     return value
 
 
+def _not_real(p: Iterable[float]) -> str:
+    """``_require_finite``'s words for the first value of ``p`` that ``float`` refuses.
+
+    An iterator has passed that value already, and a ``p`` that is not iterable
+    has none, so either is named whole.
+    """
+    try:
+        for value in p if iter(p) is not p else ():
+            _real("p", value)
+    except ValidationError as exc:
+        return str(exc)
+    except TypeError:  # not iterable
+        pass
+    return f"p must be real numbers, got {_shown(p)}"
+
+
 class PValuePlotSeries(_Record):
     """Rank-ordered p-values for one endpoint.
 
     ``p`` is stored sorted ascending, so ``p[i]`` has rank ``i + 1``;
     ``frac_le_alpha`` is the fraction of p-values at or below ``alpha``.
-    A p-value outside (0, 1], NaN included, raises :class:`ValidationError`;
-    an empty ``p`` raises :class:`EmptySeriesError`.
+    A p-value that is not a real number or lies outside (0, 1], NaN
+    included, raises :class:`ValidationError`; an empty ``p`` raises
+    :class:`EmptySeriesError`.
     """
 
     __slots__ = ("endpoint", "p", "alpha")
 
     def __init__(self, endpoint: str, p: Iterable[float], alpha: float = 0.05) -> None:
         alpha = _require_open_unit("alpha", alpha)
-        p = sorted(map(float, p))
+        try:
+            p = sorted(map(float, p))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{_not_real(p)} (endpoint {endpoint!r})") from None
         # Without NaN the sort is total, so the ends bound every value; a NaN, which
         # leaves the sort out of order, makes the sum NaN.
         if p and not (0.0 < p[0] and p[-1] <= 1.0 and not math.isnan(sum(p))):

@@ -108,7 +108,8 @@ def compute_space(counts: StudyCounts) -> SearchSpace:
     space1 = counts.outcomes * counts.predictors * counts.lags
     space2 = 2**counts.covariates
     space3 = space1 * space2
-    for name, value in (("space1", space1), ("space2", space2), ("space3", space3)):
+    # space2 <= 2**62, as the covariate count was checked above.
+    for name, value in (("space1", space1), ("space3", space3)):
         if value > _INT64_MAX:
             raise SearchSpaceOverflowError(
                 f"{name}={_shown(value)} exceeds the 64-bit range "

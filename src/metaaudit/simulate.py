@@ -270,13 +270,20 @@ def shape_stats(p: np.ndarray) -> ShapeStats:
     Per row (replicate): the fraction of p <= 0.05, the KS distance from
     uniformity and the two-segment/one-line SSE ratio, equal to what
     ``build_pplot``, ``uniformity_ks`` and ``bilinearity_fit`` give for the
-    row; the three are then averaged over rows. Needs p in (0, 1], at least
-    100 rows and ``m >= 6``. The rows are checked, sorted and fitted a block
-    of about ``_BLOCK`` values at a time, so working memory beyond ``p`` is
-    one block's temporaries plus a few values per row.
+    row; the three are then averaged over rows. Needs a 2-D array, or what
+    numpy reads as one, of p in (0, 1], with at least 100 rows and ``m >= 6``.
+    The rows are checked, sorted and fitted a block of about ``_BLOCK``
+    values at a time, so working memory beyond ``p`` is one block's
+    temporaries plus a few values per row.
     """
     import numpy as np
 
+    try:
+        p = np.asarray(p, dtype=float)  # no copy of a float64 array
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("shape_stats needs an array of real numbers") from None
+    if p.ndim != 2:
+        raise ValidationError(f"shape_stats needs a (replicates, m) array, got {p.ndim}-D")
     replicates, m = p.shape
     if replicates < _MIN_REPLICATES or m < _FIT_MIN_M:
         raise InsufficientDataError(

@@ -59,13 +59,17 @@ def _shown(value: object) -> str:
         return f"<{sign}integer of more than {sys.get_int_max_str_digits()} digits>"
 
 
-def _require_finite(name: str, value: float) -> float:
+def _real(name: str, value: float) -> float:
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:  # an integer past the float range, too long to echo back
         raise ValidationError(f"{name} must be finite, got a number past the float range") from None
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _require_finite(name: str, value: float) -> float:
+    value = _real(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -242,7 +246,7 @@ def fwer(n_tests: int, alpha: float = 0.05) -> float:
     """
     _require_int("n_tests", n_tests, minimum=1)
     alpha = _require_open_unit("alpha", alpha)
-    return 1.0 - (1.0 - alpha) ** n_tests
+    return 1.0 - (1.0 - alpha) ** _require_finite("n_tests", n_tests)
 
 
 class BonferroniLine(NamedTuple):

@@ -14,9 +14,11 @@ printed tables do, and the comment has every ``--`` broken apart.
 
 from __future__ import annotations
 
+import math
+
 from .diagnostics import PValuePlotSeries, VolcanoPoint
 from .errors import ValidationError
-from .statcore import _CONTROL_ESCAPES
+from .statcore import _CONTROL_ESCAPES, _require_finite
 
 __all__ = ["render_pplot_svg", "render_volcano_svg"]
 
@@ -177,9 +179,11 @@ def render_volcano_svg(
     """Render a volcano plot as SVG text.
 
     The x-range is symmetric about zero and covers every effect; the
-    y-range starts at 0 and covers both the points and the Bonferroni
-    reference line, which is drawn dashed. Points with non-empty labels
-    get a small text label.
+    y-range starts at 0 and reaches past the largest absolute height of the
+    points and the Bonferroni reference line, which is drawn dashed. Points
+    with non-empty labels get a small text label. An effect or height that
+    is not finite, or so large that a coordinate would not be, raises
+    :class:`ValidationError`.
 
     Parameters
     ----------
@@ -199,14 +203,20 @@ def render_volcano_svg(
     """
     if not points:
         raise ValidationError("cannot render a volcano plot with no points")
+    points = [VolcanoPoint(label, _require_finite(f"effect of {label!r}", effect),
+                           _require_finite(f"height of {label!r}", height))
+              for label, effect, height in points]
+    bonferroni_y = _require_finite("bonferroni_y", bonferroni_y)
     x_extent = max(abs(point.effect) for point in points)
     if x_extent == 0.0:
         x_extent = 1.0
     x_extent *= 1.1
-    y_extent = max(max(point.neg_log10_p for point in points), bonferroni_y, 0.0)
+    y_extent = max(max(abs(point.neg_log10_p) for point in points), abs(bonferroni_y))
     if y_extent == 0.0:
         y_extent = 1.0
     y_extent *= 1.1
+    if not math.isfinite(2.0 * x_extent + y_extent):
+        raise ValidationError("a volcano plot's effects or heights are too large to draw")
     frame = _Frame(x_range=(-x_extent, x_extent), y_range=(0.0, y_extent))
 
     ticks = [frame.x_tick(x, _fmt(x)) for x in (-x_extent / 1.1, 0.0, x_extent / 1.1)]

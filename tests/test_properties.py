@@ -2,7 +2,8 @@
 integer, float or seed setting, and effects whose intervals span many orders
 of magnitude give exit 0 or 2, an exit 2 prints exactly one stderr line and
 leaves no ``--out`` directory, and no exception escapes ``main``. Then two
-invariants of the shape diagnostics on arbitrary series, and two of the
+invariants of the shape diagnostics on arbitrary series; the library
+boundaries, which take any value or raise ``ValidationError``; and two of the
 statistics: the ``p_from_estimate`` round trip, and DerSimonian-Laird pooling
 with tau2 = 0 equal to fixed-effect pooling."""
 
@@ -10,23 +11,31 @@ import bisect
 import contextlib
 import io
 import math
+import re
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metaaudit import (
     EffectEstimate,
     PValuePlotSeries,
+    ValidationError,
+    VolcanoPoint,
     bilinearity_fit,
     case_effects_path,
     case_pvalues_path,
+    fwer,
     p_from_estimate,
     pool_fixed,
     pool_random_dl,
+    render_volcano_svg,
+    shape_stats,
     uniformity_ks,
     z_crit,
 )
@@ -242,6 +251,51 @@ def test_ks_distance_is_the_empirical_cdf_distance(p):
 @given(p=SERIES)
 def test_bilinearity_ratio_lies_in_the_unit_interval(p):
     assert 0.0 <= bilinearity_fit(PValuePlotSeries("x", p)).ratio <= 1.0
+
+
+# What a library caller may pass where a number belongs: floats with NaN, both
+# infinities and the smallest subnormal, integers past the float range, text, None
+# and complex numbers.
+ANY_VALUE = st.one_of(FLOATS, INTS, st.text(max_size=4), st.complex_numbers(),
+                      st.sampled_from([-10**400, None, 1j, "0.5"]))
+
+
+@st.composite
+def any_array(draw):
+    """An array of 1 to 3 dimensions, or its nested lists, holding a few of ANY_VALUE."""
+    shape = draw(st.sampled_from([(3,), (600,), (5, 6), (100, 6), (100, 6, 2)]))
+    array = np.full(shape, draw(st.one_of(st.just(0.5), ANY_VALUE)), dtype=object)
+    for _ in range(draw(st.integers(0, 3))):
+        array[tuple(draw(st.integers(0, n - 1)) for n in shape)] = draw(ANY_VALUE)
+    return array.tolist() if draw(st.booleans()) else array
+
+
+def any_volcano(draw):
+    points = draw(st.lists(st.builds(VolcanoPoint, st.sampled_from(["a", ""]), ANY_VALUE,
+                                     ANY_VALUE), max_size=4))
+    return render_volcano_svg(points, draw(ANY_VALUE))
+
+
+BOUNDARIES = {
+    "PValuePlotSeries": lambda draw: PValuePlotSeries(
+        "e", draw(st.one_of(st.lists(ANY_VALUE, max_size=6), ANY_VALUE))),
+    "shape_stats": lambda draw: shape_stats(draw(any_array())),
+    "render_volcano_svg": any_volcano,
+    "fwer": lambda draw: fwer(draw(ANY_VALUE), draw(st.one_of(st.just(0.05), ANY_VALUE))),
+}
+
+
+@pytest.mark.parametrize("call", BOUNDARIES.values(), ids=BOUNDARIES)
+@SETTINGS
+@given(data=st.data())
+def test_library_boundaries_return_or_raise_validation_error(call, data):
+    """Any value either works or raises ValidationError, and no SVG coordinate is NaN or inf."""
+    try:
+        result = call(data.draw)
+    except ValidationError:
+        return
+    if isinstance(result, str):
+        assert not re.search(r"\b(nan|inf)\b", result)
 
 
 def estimate(log_rr, se, level=0.95):

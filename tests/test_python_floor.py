@@ -1,5 +1,6 @@
-"""Every module of the package parses as the oldest Python that ``pyproject.toml``
-allows, so newer syntax is caught without an interpreter of that version."""
+"""Every module of the package, and every demo, parses as the oldest Python that
+``pyproject.toml`` allows, so newer syntax is caught without an interpreter of
+that version."""
 
 import ast
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "metaaudit").glob("*.py"))
+SOURCES = [*sorted((ROOT / "src" / "metaaudit").glob("*.py")),
+           *sorted((ROOT / "demos").glob("*.py"))]
 
 
 def python_floor():

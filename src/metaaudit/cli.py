@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 from . import datasets, diagnostics, pooling, simulate, svgplot
 from .datasets import _endpoint_p
 from .errors import InsufficientDataError, ValidationError
-from .searchspace import SpaceSummary, StudyCounts, summarize_spaces
+from .searchspace import _STATS, SpaceSummary, StudyCounts, summarize_spaces
 from .statcore import _CONTROL_ESCAPES, BackCalcResult, EffectEstimate, p_from_estimate
 
 __all__ = ["main", "run"]
@@ -88,7 +88,6 @@ def _load_rows(load, path: str) -> list:
 
 # ---------------------------------------------------------------- spaces
 
-_STATS = ("min", "q1", "median", "q3", "max")
 _SUMMARY_COLUMNS = ("statistic", *SpaceSummary._fields)
 
 
@@ -192,35 +191,24 @@ def cmd_volcano(args: argparse.Namespace) -> tuple[list[_File], str]:
 # ------------------------------------------------------------------ pool
 
 
+# Each --method choice and the function that pools with it.
+_METHODS = {"fixed": pooling.pool_fixed, "dl": pooling.pool_random_dl}
+
+
 def cmd_pool(args: argparse.Namespace) -> tuple[list[_File], str]:
-    estimates = _load_rows(datasets.load_effects, args.infile)
-    if args.method == "fixed":
-        result = pooling.pool_fixed(estimates)
-    else:
-        result = pooling.pool_random_dl(estimates)
+    """pooled.csv: the PooledResult, method first and the risk ratios after ci_high."""
+    result = _METHODS[args.method](_load_rows(datasets.load_effects, args.infile))
     try:
         rr, rr_low, rr_high = map(math.exp, (result.pooled_log, result.ci_low, result.ci_high))
     except OverflowError:
         raise ValidationError(
             f"pooled interval upper limit exp({result.ci_high!r}) is past the float range"
         ) from None
-
-    cells = (
-        ("method", result.method),
-        ("k", result.k),
-        ("pooled_log", result.pooled_log),
-        ("pooled_se", result.pooled_se),
-        ("ci_low", result.ci_low),
-        ("ci_high", result.ci_high),
-        ("pooled_rr", rr),
-        ("rr_ci_low", rr_low),
-        ("rr_ci_high", rr_high),
-        ("q_stat", result.q_stat),
-        ("tau2", result.tau2),
-        ("i2_percent", result.i2_percent),
+    fields = pooling.PooledResult._fields
+    columns = (fields[-1], *fields[:5], "pooled_rr", "rr_ci_low", "rr_ci_high", *fields[5:-1])
+    csv_text = datasets._table_text(
+        columns, [(result[-1], *result[:5], rr, rr_low, rr_high, *result[5:-1])]
     )
-    columns, values = zip(*cells)
-    csv_text = datasets._table_text(columns, [values])
     return [("pooled.csv", (csv_text,))], _echo(csv_text) + (
         f"{result.method}: k={result.k}, pooled RR {rr:.4f} ({rr_low:.4f} to {rr_high:.4f}), "
         f"Q={result.q_stat:.3f}, tau2={result.tau2:.5f}, I2={result.i2_percent:.1f}%\n"
@@ -391,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("pool", cmd_pool, "pool an effects CSV")
     p.add_argument("--in", dest="infile", required=True, help="effects CSV")
     p.add_argument(
-        "--method", required=True, choices=("fixed", "dl"),
+        "--method", required=True, choices=_METHODS,
         help="fixed-effect or DerSimonian-Laird random effects",
     )
 

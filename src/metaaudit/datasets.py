@@ -207,7 +207,7 @@ def _ranked_lines(series: PValuePlotSeries) -> Iterator[str]:
 
 def _pvalue_lines(p, endpoint: str, author: str) -> Iterator[str]:
     """Yield the pvalues.csv header, then one replicate's text, a row of ``p``, at a time."""
-    yield "replicate,citation,author,endpoint,p\n"
+    yield ",".join(("replicate", *_PVALUE_COLUMNS[:4])) + "\n"
     middles = [f",{study},{author},{endpoint}," for study in range(1, p.shape[1] + 1)]
     for index, row in enumerate(p):
         prefix = str(index)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from itertools import accumulate
 from operator import sub
 from typing import Iterable, NamedTuple
@@ -84,6 +85,10 @@ class PValueRecord(_Record):
         _require_trimmed("author", author)
         _require_trimmed("endpoint", endpoint)
         p = _check_reported(citation, endpoint, p)
+        for name, flag in (("direction_negative", direction_negative), ("truncated", truncated)):
+            # Any other value would be saved as one of the two and read back as it.
+            if not isinstance(flag, bool):
+                raise ValidationError(f"{name} must be True or False, got {_shown(flag)}")
         self._set_fields((citation, author, endpoint, p, direction_negative, truncated))
 
 
@@ -128,8 +133,10 @@ class PValuePlotSeries(_Record):
     def __init__(self, endpoint: str, p: Iterable[float], alpha: float = 0.05) -> None:
         alpha = _require_open_unit("alpha", alpha)
         try:
-            p = sorted(map(float, p))
-        except (TypeError, ValueError, OverflowError):
+            with warnings.catch_warnings():  # numpy's ComplexWarning: float() drops .imag
+                warnings.simplefilter("error", RuntimeWarning)
+                p = sorted(map(float, p))
+        except (TypeError, ValueError, OverflowError, RuntimeWarning):
             raise ValidationError(f"{_not_real(p)} (endpoint {endpoint!r})") from None
         # Without NaN the sort is total, so the ends bound every value; a NaN, which
         # leaves the sort out of order, makes the sum NaN.

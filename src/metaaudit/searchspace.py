@@ -132,6 +132,10 @@ class SpaceSummary(NamedTuple):
     space3: tuple[float, float, float, float, float]
 
 
+# The names of the five numbers, in the order _five_numbers returns them.
+_STATS = ("min", "q1", "median", "q3", "max")
+
+
 def _five_numbers(values: Sequence[int]) -> tuple[float, float, float, float, float]:
     return (
         float(min(values)),

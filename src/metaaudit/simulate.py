@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from typing import NamedTuple
 
 from .diagnostics import _FIT_MIN_M, _SSE_LINEAR_EPS, PValueRecord, _line_sse
@@ -279,8 +280,10 @@ def shape_stats(p: np.ndarray) -> ShapeStats:
     import numpy as np
 
     try:
-        p = np.asarray(p, dtype=float)  # no copy of a float64 array
-    except (TypeError, ValueError, OverflowError):
+        with warnings.catch_warnings():  # numpy's ComplexWarning: a cast drops .imag
+            warnings.simplefilter("error", RuntimeWarning)
+            p = np.asarray(p, dtype=float)  # no copy of a float64 array
+    except (TypeError, ValueError, OverflowError, RuntimeWarning):
         raise ValidationError("shape_stats needs an array of real numbers") from None
     if p.ndim != 2:
         raise ValidationError(f"shape_stats needs a (replicates, m) array, got {p.ndim}-D")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from numbers import Complex, Real
 from typing import NamedTuple
 
 from .errors import DegenerateIntervalError, InsufficientDataError, ValidationError
@@ -60,6 +61,9 @@ def _shown(value: object) -> str:
 
 
 def _real(name: str, value: float) -> float:
+    # float() of a numpy complex scalar drops its imaginary part with only a warning.
+    if isinstance(value, Complex) and not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer past the float range, too long to echo back

@@ -59,6 +59,15 @@ def test_pvalue_record_validation():
         PValueRecord(citation=1, author="a", endpoint="", p=0.5)
 
 
+@pytest.mark.parametrize("flag", ["direction_negative", "truncated"])
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None, np.True_],
+                         ids=["no", "false", "0", "1", "None", "np.True_"])
+def test_pvalue_record_flags_are_true_or_false(flag, value):
+    # save_pvalues writes any value as "true"/"<" or "false"/"", so only a bool reads back.
+    with pytest.raises(ValidationError, match=f"^{flag} must be True or False, got "):
+        PValueRecord(citation=1, author="a", endpoint="e", p=0.5, **{flag: value})
+
+
 # ---------------------------------------------------------- build_pplot
 
 

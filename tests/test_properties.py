@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from metaaudit import (
     EffectEstimate,
     PValuePlotSeries,
+    PValueRecord,
     ValidationError,
     VolcanoPoint,
     bilinearity_fit,
@@ -255,15 +256,22 @@ def test_bilinearity_ratio_lies_in_the_unit_interval(p):
 
 # What a library caller may pass where a number belongs: floats with NaN, both
 # infinities and the smallest subnormal, integers past the float range, text, None
-# and complex numbers.
+# and complex numbers, numpy's complex scalars among them (float() of one warns and
+# drops its imaginary part).
 ANY_VALUE = st.one_of(FLOATS, INTS, st.text(max_size=4), st.complex_numbers(),
+                      st.builds(np.complex64, st.complex_numbers(width=64)),
+                      st.builds(np.complex128, st.complex_numbers()),
                       st.sampled_from([-10**400, None, 1j, "0.5"]))
 
 
 @st.composite
 def any_array(draw):
-    """An array of 1 to 3 dimensions, or its nested lists, holding a few of ANY_VALUE."""
+    """An array of 1 to 3 dimensions, or its nested lists, holding a few of ANY_VALUE;
+    or a complex array, which numpy casts to float with a warning."""
     shape = draw(st.sampled_from([(3,), (600,), (5, 6), (100, 6), (100, 6, 2)]))
+    if draw(st.integers(0, 3)) == 0:
+        dtype = draw(st.sampled_from([np.complex64, np.complex128]))
+        return np.full(shape, draw(st.complex_numbers(width=64)), dtype=dtype)
     array = np.full(shape, draw(st.one_of(st.just(0.5), ANY_VALUE)), dtype=object)
     for _ in range(draw(st.integers(0, 3))):
         array[tuple(draw(st.integers(0, n - 1)) for n in shape)] = draw(ANY_VALUE)
@@ -276,9 +284,17 @@ def any_volcano(draw):
     return render_volcano_svg(points, draw(ANY_VALUE))
 
 
+# What a library caller may pass where a flag belongs.
+ANY_FLAG = st.one_of(st.booleans(), ANY_VALUE)
+
 BOUNDARIES = {
     "PValuePlotSeries": lambda draw: PValuePlotSeries(
-        "e", draw(st.one_of(st.lists(ANY_VALUE, max_size=6), ANY_VALUE))),
+        "e", draw(st.one_of(st.lists(ANY_VALUE, max_size=6), ANY_VALUE, any_array()))),
+    "PValueRecord": lambda draw: PValueRecord(
+        1, "a", "e", draw(ANY_VALUE), draw(ANY_FLAG), draw(ANY_FLAG)),
+    "EffectEstimate": lambda draw: EffectEstimate(
+        "x", draw(ANY_VALUE), draw(st.one_of(st.just(1.0), ANY_VALUE)),
+        draw(st.one_of(st.just(2.0), ANY_VALUE)), draw(st.one_of(st.just(0.95), ANY_VALUE))),
     "shape_stats": lambda draw: shape_stats(draw(any_array())),
     "render_volcano_svg": any_volcano,
     "fwer": lambda draw: fwer(draw(ANY_VALUE), draw(st.one_of(st.just(0.05), ANY_VALUE))),

@@ -1,6 +1,6 @@
-"""Every module of the package, and every demo, parses as the oldest Python that
-``pyproject.toml`` allows, so newer syntax is caught without an interpreter of
-that version."""
+"""Every module of the package, every demo and every test parses as the oldest
+Python that ``pyproject.toml`` allows, so newer syntax is caught without an
+interpreter of that version."""
 
 import ast
 import re
@@ -10,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = [*sorted((ROOT / "src" / "metaaudit").glob("*.py")),
-           *sorted((ROOT / "demos").glob("*.py"))]
+           *sorted((ROOT / "demos").glob("*.py")),
+           *sorted((ROOT / "tests").glob("*.py"))]
 
 
 def python_floor():

@@ -180,6 +180,18 @@ def test_volcano_empty_is_error():
         render_volcano_svg([], 1.0)
 
 
+@pytest.mark.parametrize("effect, height, reference", [
+    (1e308, 1.0, 1.0),  # 2.2 times the effect is past the float range
+    (1.0, 1.7e308, 1.0),
+    (1.0, 1.0, 1.7e308),
+], ids=["effect", "height", "reference"])
+def test_volcano_too_large_to_draw_is_error(effect, height, reference):
+    points = [VolcanoPoint(label="a", effect=effect, neg_log10_p=height)]
+    with pytest.raises(ValidationError, match="^a volcano plot's effects or heights are too "
+                                              "large to draw$"):
+        render_volcano_svg(points, reference)
+
+
 # ------------------------------------------------------- well-formed XML
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}

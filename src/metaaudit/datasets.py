@@ -27,9 +27,12 @@ outside a CRLF line end.
 One formatter, ``_table_text``, formats the ``save_*`` files and the tables
 of the command line, all but the two long number tables, which
 ``_ranked_lines`` and ``_pvalue_lines`` write in the same format.
-``_read_config`` reads the ``key=value`` settings file of ``simulate``. One
-primitive, ``_write_text``, writes every file that the package writes, and no
-other module opens a file.
+``_pvalue_lines`` yields ``pvalues.csv`` in blocks of whole rows, and in a
+process with one thread and two usable CPUs ``_two_process_map`` has a forked
+child format every other block; the blocks are yielded in order, so the
+bytes are the same. ``_read_config`` reads the ``key=value`` settings file of
+``simulate``. One primitive, ``_write_text``, writes every file that the
+package writes, each time to a new file, and no other module opens a file.
 
 The package bundles a transcription of a well-known case study: the 34
 base papers of a 2012 meta-analysis of main air pollutants and myocardial
@@ -42,9 +45,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import stat
 from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .diagnostics import PValuePlotSeries, PValueRecord, _check_reported
 from .errors import ValidationError
@@ -190,31 +195,123 @@ def _table_text(header: Iterable[str], rows: Iterable[Sequence]) -> str:
 
 
 def _write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write text chunks to ``path`` as UTF-8, line ends as given; no other code writes a file."""
+    """Write text chunks to ``path`` as UTF-8, line ends as given; no other code writes a file.
+
+    A regular file already at ``path`` is unlinked first and the text goes
+    to a new file: truncating a just-written file stalled on ext4, where
+    ``report --fixtures`` re-run into its own directory took 0.9 to 1.5 s,
+    against 0.04 s with the unlink. A symlink is still written through, and
+    a directory still fails to open.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:  # no file, or one this process may not unlink: open truncates it
+        pass
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(chunks)
 
 
 # The two long tables, joined by hand, not by _table_text: every cell is a number or a
 # name that needs no quoting, so the bytes are the same, and the hand join took 0.081
-# against 0.117 s on 79,600 (rank, p) rows and 0.26 against 0.57 s on the 300,000 rows
-# of a 10,000-replicate simulate run (best of 5 and of 3, Python 3.11.7, 2-vCPU x86-64 VM).
+# against 0.117 s on 79,600 (rank, p) rows and formatted the 300,000 rows of a
+# 10,000-replicate simulate run in one process in 0.111 against 0.252 s (best of 5,
+# Python 3.11.7, 2-vCPU x86-64 VM).
 def _ranked_lines(series: PValuePlotSeries) -> Iterator[str]:
     """Yield the pplot CSV: its header, then every (rank, p) row as one text."""
     yield "rank,p\n"
     yield "".join(map("%d,%r\n".__mod__, enumerate(series.p, start=1)))
 
 
+# pvalues.csv is formatted in blocks of about this many values, each at least one
+# row. Small blocks keep the text in flight small: with 256-row blocks the peak RSS
+# of a 1,000-replicate phack run at m = 30 rose 3%, with 34-row blocks it did not move.
+_BLOCK_VALUES = 1 << 10
+
+
 def _pvalue_lines(p, endpoint: str, author: str) -> Iterator[str]:
-    """Yield the pvalues.csv header, then one replicate's text, a row of ``p``, at a time."""
+    """Yield the pvalues.csv header, then the text of one block of whole rows of ``p`` at a time.
+
+    ``repr`` of each value is half of a 10,000-replicate null run, and no
+    byte-identical single-core kernel beats it, so ``_two_process_map`` may
+    format every other block in a second process.
+    """
     yield ",".join(("replicate", *_PVALUE_COLUMNS[:4])) + "\n"
     middles = [f",{study},{author},{endpoint}," for study in range(1, p.shape[1] + 1)]
-    for index, row in enumerate(p):
-        prefix = str(index)
-        yield "".join([
-            prefix + middle + value + "\n"
-            for middle, value in zip(middles, map(repr, row.tolist()))
-        ])
+    rows = max(1, _BLOCK_VALUES // len(middles))
+
+    def block(start: int) -> str:
+        lines: list[str] = []
+        for index, row in enumerate(p[start:start + rows].tolist(), start):
+            prefix = str(index)
+            lines += [prefix + middle + value + "\n"
+                      for middle, value in zip(middles, map(repr, row))]
+        return "".join(lines)
+
+    yield from _two_process_map(block, range(0, len(p), rows))
+
+
+def _can_fork(items: int) -> bool:
+    """Whether a second process may take half of ``items`` blocks.
+
+    Only a process with one thread forks: a thread's locks would be copied
+    held, and OpenBLAS's fork handler stops the workers that ``import numpy``
+    starts, which a caller that chose them would lose.
+    """
+    if items < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc
+        return False
+
+
+def _two_process_map(format_block: Callable[[int], str], starts: Sequence[int]) -> Iterator[str]:
+    """Yield ``format_block(start)`` for each start, in order.
+
+    When ``_can_fork``, a forked child formats the odd-numbered items and
+    sends each down a pipe as an 8-byte length and its UTF-8 text, while this
+    process formats the even ones and reads the odd ones in turn; otherwise
+    this is ``map``. The child ends in ``os._exit``, so it never unwinds into
+    this process's frames or flushes its buffers. However the generator ends,
+    it closes the pipe, which stops a child blocked on it, and waits for the
+    child. A child that stops early or exits non-zero raises
+    ``ChildProcessError``.
+    """
+    if not _can_fork(len(starts)):
+        yield from map(format_block, starts)
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for start in starts[1::2]:
+                    text = format_block(start).encode()
+                    pipe.write(len(text).to_bytes(8, "little"))
+                    pipe.write(text)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            for index, start in enumerate(starts):
+                if index % 2 == 0:
+                    yield format_block(start)
+                    continue
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little")
+                text = pipe.read(size)
+                if len(head) != 8 or len(text) != size:
+                    raise ChildProcessError(f"the formatting process stopped before item {index}")
+                yield text.decode()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise ChildProcessError(f"the formatting process exited with status {status}")
 
 
 _COUNT_COLUMNS = StudyCounts.__slots__

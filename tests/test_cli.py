@@ -30,6 +30,11 @@ def read_all(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+# Whether a fresh interpreter with one thread formats pvalues.csv in two processes.
+FORKS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+         and os.path.isdir("/proc/self/task") and len(os.sched_getaffinity(0)) >= 2)
+
+
 # ---------------------------------------------------------------- spaces
 
 
@@ -849,6 +854,63 @@ def test_every_output_file_goes_through_one_writer(tmp_path, capsys, monkeypatch
         err = capsys.readouterr().err
         assert err.startswith("i/o error: [Errno 28] No space left on device: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rewrite_goes_through_a_symlink_and_not_over_a_directory(tmp_path, capsys):
+    # An old regular file is replaced by a new one; anything else at the name is not.
+    argv = ONE_RUN_EACH["pool"]
+    assert run(argv, tmp_path, out="fresh") == 0
+    out, target = tmp_path / "o", tmp_path / "target.csv"
+    out.mkdir()
+    target.write_text("stale\n" * 1000)
+    (out / "pooled.csv").symlink_to(target)
+    assert run(argv, tmp_path) == 0
+    assert (out / "pooled.csv").is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh" / "pooled.csv").read_bytes()
+
+    (out / "pooled.csv").unlink()
+    (out / "pooled.csv").mkdir()
+    capsys.readouterr()
+    assert run(argv, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: [Errno 21] Is a directory: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not FORKS, reason="forking needs os.fork, /proc and 2 CPUs")
+@pytest.mark.parametrize("ending, code, err", [
+    ("success", 0, ""),
+    ("full-disk", 1, "i/o error: [Errno 27] File too large\n"),
+    ("child-failure", 1, "i/o error: the formatting process stopped before item 1\n"),
+])
+def test_no_formatting_process_outlives_simulate(tmp_path, ending, code, err):
+    # A fresh process with one OpenBLAS thread forks once for pvalues.csv, about
+    # 2 MB in 59 blocks; the file-size limit fails a write part way through it.
+    argv = ["simulate", "--regime", "null", "--m", "30", "--replicates", "2000", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    script = f"""
+import os, resource, signal, sys
+from metaaudit.cli import main
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid == 0 and {ending!r} == "child-failure":
+        os._exit(3)
+    forks.append(pid)
+    return pid
+os.fork = counted
+if {ending!r} == "full-disk":
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE,
+                       (100_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+code = main({argv!r})
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print(code, len(forks), "no child", file=sys.stderr)
+"""
+    done = run_fresh("-c", script, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert done.stderr == err + f"{code} 1 no child\n"
 
 
 @pytest.mark.parametrize("command", ONE_RUN_EACH)

@@ -26,6 +26,7 @@ from metaaudit import (
     save_pvalues,
 )
 from metaaudit.cli import main
+from test_cli import FORKS, run_fresh
 
 
 def write(tmp_path, name, text):
@@ -304,3 +305,86 @@ def test_saved_counts_pass_cross_check(tmp_path):
     reloaded = load_counts(tmp_path / "c.csv")
     assert reloaded == records
     assert compute_space(reloaded[0]).space3 == 1024
+
+
+# -------------------------------------------------- two-process formatting
+
+# Each helper test runs in a fresh interpreter that has not imported numpy, so
+# it has one thread and may fork.
+needs_fork = pytest.mark.skipif(not FORKS, reason="forking needs os.fork, /proc and 2 CPUs")
+
+HELPER = """
+import os, sys
+from metaaudit.datasets import _two_process_map
+assert "numpy" not in sys.modules
+"""
+
+
+def test_two_process_map_equals_map():
+    # Item 0 is empty, item 5 is larger than a pipe's buffer, and "é" is two bytes.
+    code = HELPER + """
+def text(i):
+    return ("é" * (i % 4) + str(i)) * (50_000 if i == 5 else 1) if i else ""
+print([list(_two_process_map(text, range(n))) == list(map(text, range(n)))
+       for n in (0, 1, 2, 3, 65)])
+"""
+    assert run_fresh("-c", code).stdout == "[True, True, True, True, True]\n"
+
+
+@needs_fork
+def test_two_process_map_forks_only_with_one_thread():
+    code = HELPER + """
+import threading
+me = str(os.getpid())
+def pid(i):
+    return str(os.getpid())
+print([p == me for p in _two_process_map(pid, range(4))])
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+try:
+    print([p == me for p in _two_process_map(pid, range(4))])
+finally:
+    stop.set()
+    thread.join()
+"""
+    assert run_fresh("-c", code).stdout == (
+        "[True, False, True, False]\n[True, True, True, True]\n")
+
+
+@needs_fork
+def test_two_process_map_child_failure_is_a_child_process_error():
+    # The child's traceback is never printed: it ends in os._exit.
+    code = HELPER + """
+def text(i):
+    if i == 3:
+        raise ValueError("no text")
+    return str(i)
+try:
+    list(_two_process_map(text, range(6)))
+except ChildProcessError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+"""
+    done = run_fresh("-c", code)
+    assert done.stdout == (
+        "ChildProcessError: the formatting process stopped before item 3\nno child\n")
+    assert done.stderr == ""
+
+
+@needs_fork
+def test_two_process_map_closed_early_leaves_no_child():
+    # Each item is larger than a pipe's buffer, so the child is blocked writing at close.
+    code = HELPER + """
+items = _two_process_map(lambda i: str(i) * 1_000_000, range(8))
+print(next(items)[:1])
+items.close()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+"""
+    assert run_fresh("-c", code).stdout == "0\nno child\n"

@@ -5,7 +5,9 @@ between two runs in a row. The single commands are pinned next to
 ``report``, which writes the same tables through the same builders, so
 neither side can drift unnoticed. Stdout is hashed with the output
 directory replaced by ``<out>``. A change that alters output on purpose
-updates the pins here and says so in CHANGES.md.
+updates the pins here and says so in CHANGES.md. The three ``simulate``
+runs are also made in a fresh process started as the command line starts,
+which on two or more CPUs formats ``pvalues.csv`` in two processes.
 
 The hashes were taken with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux
 with glibc 2.36. Another numpy may draw different variates from the same
@@ -19,12 +21,14 @@ not checked there.
 """
 
 import hashlib
+import os
 from xml.etree import ElementTree
 
 import pytest
 
 from metaaudit import case_counts_path, case_effects_path, case_pvalues_path
 from metaaudit.cli import main
+from test_cli import FORKS, run_fresh
 
 COUNTS, PVALUES, EFFECTS = (
     str(path()) for path in (case_counts_path, case_pvalues_path, case_effects_path)
@@ -181,3 +185,51 @@ def test_every_written_svg_is_well_formed_xml(run, tmp_path):
     assert main(RUNS[run] + ["--out", str(out)]) == 0
     for path in sorted(out.glob("*.svg")):
         ElementTree.parse(path)  # raises ParseError on text that is not well-formed
+
+
+def test_rerun_into_an_old_bundle_writes_new_files(tmp_path):
+    # Each old file is unlinked, not truncated: a hard link keeps its inode
+    # and its stale text, so the new file cannot reuse the inode number.
+    out, kept = tmp_path / "report", tmp_path / "kept"
+    out.mkdir()
+    kept.mkdir()
+    for name in GOLDEN["report"]:
+        (out / name).write_text("stale\n" * 10_000)
+        os.link(out / name, kept / name)
+    assert main(RUNS["report"] + ["--out", str(out)]) == 0
+    for name, digest in GOLDEN["report"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert (out / name).stat().st_ino != (kept / name).stat().st_ino
+        assert (kept / name).read_text() == "stale\n" * 10_000
+
+
+def test_fresh_process_simulate_runs_match_golden_hashes(tmp_path):
+    # A process started by the entry point has one thread, so with FORKS a second
+    # process formats half of pvalues.csv; in-process runs under pytest, which has
+    # OpenBLAS workers, format it alone.
+    runs = {run: RUNS[run] for run in GOLDEN if run.startswith("simulate")}
+    code = f"""
+import os, runpy, sys
+forks = []
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+for run, argv in {runs!r}.items():
+    sys.argv = ["metaaudit", *argv, "--out", os.path.join({str(tmp_path)!r}, run)]
+    try:
+        runpy.run_module("metaaudit.cli", run_name="__main__")
+    except SystemExit as exc:
+        print(run, exc.code, len(forks), file=sys.stderr)
+"""
+    bare = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    assert run_fresh("-c", code, env=bare).stderr == "".join(
+        f"{run} 0 {k * FORKS}\n" for k, run in enumerate(runs, start=1))
+    for run in runs:
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted((tmp_path / run).iterdir())}
+        assert written == GOLDEN[run]
